@@ -956,6 +956,121 @@ let calendar_matches_heap ~count =
       in
       drain ())
 
+(* ---- optimizer vs its sequential reference ---------------------------- *)
+
+module O = Lognic.Optimizer
+
+type search = {
+  sc : Gen.scenario;
+  knobs : O.knob list;
+  objective : O.objective;
+  queue_model : Lognic.Latency.queue_model;
+  jobs : int;
+}
+
+(* A random valid graph with a knob set mixing a short queue-credit
+   range, a throughput axis with a repeated value (duplicate grid
+   points) and, wherever some vertex fans out, a traffic split (the
+   continuous multi-start), under every objective kind. *)
+let search_gen st =
+  let sc = Gen.wild st in
+  let g = sc.Gen.graph in
+  let ips =
+    List.filter_map
+      (fun (v : G.vertex) -> if v.kind = G.Ip then Some v.id else None)
+      (G.vertices g)
+  in
+  let fans =
+    List.filter_map
+      (fun (v : G.vertex) ->
+        if List.length (G.out_edges g v.id) >= 2 then Some v.id else None)
+      (G.vertices g)
+  in
+  let pick l = QCheck.Gen.oneofl l st and coin () = QCheck.Gen.bool st in
+  let queue () =
+    let lo = QCheck.Gen.int_range 1 8 st in
+    O.Queue_capacity (pick ips, lo, lo + QCheck.Gen.int_range 0 2 st)
+  in
+  let throughput () =
+    let a = pick Gen.throughputs and b = pick Gen.throughputs in
+    O.Vertex_throughput (pick ips, [| a; b; a |])
+  in
+  let knobs =
+    List.concat
+      [
+        (if coin () then [ queue () ] else []);
+        (if coin () then [ throughput () ] else []);
+        (if fans <> [] then [ O.Out_split (pick fans) ] else []);
+      ]
+  in
+  let rate = (fst (List.hd sc.Gen.mix)).Lognic.Traffic.rate in
+  {
+    sc;
+    knobs = (if knobs = [] then [ queue () ] else knobs);
+    objective =
+      pick
+        [
+          O.Maximize_throughput;
+          O.Minimize_latency;
+          O.Minimize_latency_min_throughput (0.5 *. rate);
+          O.Maximize_throughput_max_latency 1e-5;
+        ];
+    queue_model = pick Lognic.Latency.[ Mm1n_model; Mmcn_model ];
+    jobs = pick [ 1; 4 ];
+  }
+
+let search_print s =
+  Printf.sprintf "%s jobs=%d knobs=[%s]" s.sc.Gen.label s.jobs
+    (String.concat "; "
+       (List.map
+          (function
+            | O.Queue_capacity (v, lo, hi) -> Printf.sprintf "queue %d:%d..%d" v lo hi
+            | O.Vertex_throughput (v, cs) -> Printf.sprintf "throughput %d x%d" v (Array.length cs)
+            | O.Out_split v -> Printf.sprintf "split %d" v
+            | O.Partition _ | O.Accel _ | O.Ingress_rate _ -> "other")
+          s.knobs))
+
+let optimizer_matches_reference ~count =
+  QCheck.Test.make ~count
+    ~name:"optimizer: search context and parallel grid = sequential reference, bit for bit"
+    (arb search_gen ~print:search_print)
+    (fun s ->
+      let traffic = fst (List.hd s.sc.Gen.mix) in
+      let solve f =
+        let stream = ref [] in
+        let observer (o : O.observation) =
+          stream :=
+            (o.sequence, Int64.bits_of_float o.score, o.cache_hit, Optimizer_ref.canonical o.candidate)
+            :: !stream
+        in
+        let sol = f observer in
+        (sol, List.rev !stream)
+      in
+      let expected, expected_stream =
+        solve (fun observer ->
+            Optimizer_ref.optimize ~queue_model:s.queue_model ~observer s.sc.Gen.graph
+              ~hw:s.sc.Gen.hw ~traffic ~knobs:s.knobs s.objective)
+      in
+      let actual, actual_stream =
+        solve (fun observer ->
+            O.optimize ~queue_model:s.queue_model ~jobs:s.jobs ~observer s.sc.Gen.graph
+              ~hw:s.sc.Gen.hw ~traffic ~knobs:s.knobs s.objective)
+      in
+      let assignment (sol : O.solution) = List.map (fun a -> Optimizer_ref.canonical [ a ]) sol.assignment in
+      (assignment expected = assignment actual
+      || QCheck.Test.fail_report "different assignment")
+      && fail_bits ~what:"mean latency" expected.report.latency.mean actual.report.latency.mean
+      && fail_bits ~what:"attained" expected.report.throughput.attained
+           actual.report.throughput.attained
+      && fail_bits ~what:"carried rate" expected.report.latency.carried_rate
+           actual.report.latency.carried_rate
+      && (expected.stats = actual.stats
+         || QCheck.Test.fail_reportf "stats: expected %d evaluations / %d hits, got %d / %d"
+              expected.stats.evaluations expected.stats.memo_hits actual.stats.evaluations
+              actual.stats.memo_hits)
+      && (expected_stream = actual_stream
+         || QCheck.Test.fail_report "observation streams differ"))
+
 let suite ?(scale = 1.) () =
   let n base = max 1 (int_of_float (Float.round (float_of_int base *. scale))) in
   [
@@ -986,4 +1101,5 @@ let suite ?(scale = 1.) () =
     flowcache_jobs_bit_identical ~count:(n 3);
     flowcache_off_identity ~count:(n 4);
     spec_round_trip ~count:(n 300);
+    optimizer_matches_reference ~count:(n 8);
   ]

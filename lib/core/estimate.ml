@@ -4,10 +4,11 @@ type report = {
   traffic : Traffic.t;
 }
 
-let run ?queue_model g ~hw ~traffic =
+let run ?queue_model ?structure ?memo g ~hw ~traffic =
+  let structure = Graph.checked ~who:"Estimate" ?structure g in
   {
-    throughput = Throughput.evaluate g ~hw ~traffic;
-    latency = Latency.evaluate ?model:queue_model g ~hw ~traffic;
+    throughput = Throughput.evaluate ~structure g ~hw ~traffic;
+    latency = Latency.evaluate ?model:queue_model ~structure ?memo g ~hw ~traffic;
     traffic;
   }
 

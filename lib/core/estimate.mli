@@ -10,10 +10,17 @@ type report = {
 
 val run :
   ?queue_model:Latency.queue_model ->
+  ?structure:Graph.structure ->
+  ?memo:Latency.term_memo ->
   Graph.t ->
   hw:Params.hardware ->
   traffic:Traffic.t ->
   report
+(** Raises [Invalid_argument] on an invalid graph. The graph is checked
+    once ({!Graph.checked}) and that check serves both model threads;
+    a caller evaluating many parameter variants of one graph passes the
+    [structure] it checked, and may share a {!Latency.term_memo} among
+    them. Neither changes the report. *)
 
 val run_mix :
   ?queue_model:Latency.queue_model ->

@@ -162,28 +162,32 @@ let scale_out_split g id fractions =
   in
   { g with edgs = List.map update g.edgs }
 
+(* Kahn's algorithm with a FIFO ready queue: sources in vertex order,
+   then each vertex's newly-ready successors in edge order. Ids are
+   dense positions ([add_vertex]), so the in-degrees and successor
+   lists are arrays and the pass is O(V+E). *)
 let topological_order g =
-  let in_deg = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace in_deg v.id (in_degree g v.id)) g.verts;
-  let ready =
-    List.filter_map (fun v -> if in_degree g v.id = 0 then Some v.id else None) g.verts
-  in
-  let rec loop ready acc =
-    match ready with
-    | [] -> List.rev acc
-    | id :: rest ->
-      let next =
-        List.fold_left
-          (fun ready e ->
-            let d = Hashtbl.find in_deg e.dst - 1 in
-            Hashtbl.replace in_deg e.dst d;
-            if d = 0 then ready @ [ e.dst ] else ready)
-          rest (out_edges g id)
-      in
-      loop next (id :: acc)
-  in
-  let order = loop ready [] in
-  if List.length order = vertex_count g then Some order else None
+  let n = vertex_count g in
+  let indeg = Array.make n 0 and succs = Array.make n [] in
+  List.iter
+    (fun e ->
+      indeg.(e.dst) <- indeg.(e.dst) + 1;
+      succs.(e.src) <- e.dst :: succs.(e.src))
+    (List.rev g.edgs);
+  let ready = Queue.create () in
+  List.iter (fun v -> if indeg.(v.id) = 0 then Queue.add v.id ready) g.verts;
+  let order = ref [] and visited = ref 0 in
+  while not (Queue.is_empty ready) do
+    let id = Queue.pop ready in
+    order := id :: !order;
+    incr visited;
+    List.iter
+      (fun dst ->
+        indeg.(dst) <- indeg.(dst) - 1;
+        if indeg.(dst) = 0 then Queue.add dst ready)
+      succs.(id)
+  done;
+  if !visited = n then Some (List.rev !order) else None
 
 let is_dag g = Option.is_some (topological_order g)
 
@@ -246,14 +250,15 @@ let coreachable_to g seeds =
   List.iter go seeds;
   visited
 
-let validate g =
+let validate_errors g =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
   let ingresses = ingress_vertices g and egresses = egress_vertices g in
   if ingresses = [] then err "graph has no ingress vertex";
   if egresses = [] then err "graph has no egress vertex";
-  if not (is_dag g) then err "graph has a cycle";
-  if ingresses <> [] && egresses <> [] && is_dag g then begin
+  let dag = is_dag g in
+  if not dag then err "graph has a cycle";
+  if ingresses <> [] && egresses <> [] && dag then begin
     let fwd = reachable_from g (List.map (fun v -> v.id) ingresses) in
     let bwd = coreachable_to g (List.map (fun v -> v.id) egresses) in
     List.iter
@@ -266,7 +271,47 @@ let validate g =
         end)
       g.verts
   end;
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
+  List.rev !errors
+
+let validate g = match validate_errors g with [] -> Ok () | es -> Error es
+
+type structure = {
+  kinds : kind list;
+  ends : (vertex_id * vertex_id) list;
+  structure_paths : vertex_id list list;
+}
+
+let conforms s g =
+  let rec same_kinds ks vs =
+    match (ks, vs) with
+    | [], [] -> true
+    | k :: ks, v :: vs -> k = v.kind && same_kinds ks vs
+    | _ -> false
+  in
+  let rec same_ends ends es =
+    match (ends, es) with
+    | [], [] -> true
+    | (src, dst) :: ends, e :: es -> src = e.src && dst = e.dst && same_ends ends es
+    | _ -> false
+  in
+  same_kinds s.kinds g.verts && same_ends s.ends g.edgs
+
+let structure_paths s = s.structure_paths
+
+let checked ~who ?structure g =
+  match structure with
+  | Some s ->
+    if conforms s g then s
+    else invalid_arg (who ^ ": graph does not match its checked structure")
+  | None -> (
+    match validate_errors g with
+    | [] ->
+      {
+        kinds = List.map (fun v -> v.kind) g.verts;
+        ends = List.map (fun e -> (e.src, e.dst)) g.edgs;
+        structure_paths = fst (paths_capped g);
+      }
+    | errors -> invalid_arg (who ^ ": invalid graph: " ^ String.concat "; " errors))
 
 let pp_kind ppf = function
   | Ingress -> Fmt.string ppf "ingress"

@@ -177,5 +177,28 @@ val validate : t -> (unit, string list) result
     (data-structure traversals, oversized accelerator fetches) into its
     edge's medium-usage parameters. *)
 
+type structure
+(** A graph's shape after it passed {!validate}: its vertex kinds (in id
+    order), its edge endpoints (in insertion order) and its
+    ingress→egress paths ({!paths_capped}). No parameter update —
+    {!set_service}, {!update_service}, {!set_edge_params},
+    {!scale_out_split} — changes a shape, so one check covers every
+    graph derived from the checked one that way. *)
+
+val conforms : structure -> t -> bool
+(** [conforms s g] holds when [g] has exactly the vertex kinds and edge
+    endpoints [s] was checked with. O(V+E), no sorting or path walk. *)
+
+val structure_paths : structure -> vertex_id list list
+(** The ingress→egress paths of the shape, capped as {!paths_capped}
+    caps them (the first 10_000 in enumeration order). *)
+
+val checked : who:string -> ?structure:structure -> t -> structure
+(** The one structural check behind every model evaluation: with
+    [structure], confirm [g] {!conforms} to it; without, {!validate}
+    [g] and keep its shape and paths. Raises [Invalid_argument]
+    prefixed by [who] — with {!validate}'s errors, in order — on an
+    invalid graph or a non-conforming one. *)
+
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable dump (used by the CLI's [validate]). *)

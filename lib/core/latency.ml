@@ -136,7 +136,7 @@ let edge_transfer_time g ~(hw : Params.hardware) ~(traffic : Traffic.t)
   in
   interface_time +. memory_time +. link_time
 
-let path_weights g =
+let weights_of_paths g paths =
   let raw =
     List.map
       (fun path ->
@@ -154,22 +154,21 @@ let path_weights g =
           | [ _ ] | [] -> acc
         in
         (path, hop_weight 1. path))
-      (* Degrade on combinatorial graphs instead of failing: the first
-         10k paths in enumeration order, weights renormalized below, so
-         the mean is a top-K approximation rather than an exception. *)
-      (fst (Graph.paths_capped g))
+      paths
   in
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. raw in
   if total <= 0. then raw
   else List.map (fun (p, w) -> (p, w /. total)) raw
 
-let evaluate_with ~term_of:(uncached : Graph.vertex_id -> vertex_terms) g ~hw
-    ~(traffic : Traffic.t) =
-  (match Graph.validate g with
-  | Ok () -> ()
-  | Error errors ->
-    invalid_arg ("Latency: invalid graph: " ^ String.concat "; " errors));
-  let weighted_paths = path_weights g in
+(* Degrade on combinatorial graphs instead of failing: the first 10k
+   paths in enumeration order, weights renormalized, so the mean is a
+   top-K approximation rather than an exception. *)
+let path_weights g = weights_of_paths g (fst (Graph.paths_capped g))
+
+let evaluate_with ?structure ~term_of:(uncached : Graph.vertex_id -> vertex_terms)
+    g ~hw ~(traffic : Traffic.t) =
+  let structure = Graph.checked ~who:"Latency" ?structure g in
+  let weighted_paths = weights_of_paths g (Graph.structure_paths structure) in
   if weighted_paths = [] then invalid_arg "Latency: no ingress->egress path";
   let terms = Hashtbl.create 16 in
   let term_of id =
@@ -232,9 +231,58 @@ let evaluate_with ~term_of:(uncached : Graph.vertex_id -> vertex_terms) g ~hw
   in
   { mean; per_path; per_vertex; carried_rate }
 
-let evaluate ?(model = Mm1n_model) g ~hw ~traffic =
-  evaluate_with ~term_of:(fun id -> vertex_terms ~model g ~traffic id) g ~hw
-    ~traffic
+type term_memo = {
+  mutex : Mutex.t;
+  terms : (string, vertex_terms) Lognic_numerics.Lru.t;
+}
+
+let term_memo () =
+  { mutex = Mutex.create (); terms = Lognic_numerics.Lru.create ~capacity:4096 }
+
+(* The exact bits of everything [vertex_terms] reads: the queue model,
+   the vertex's service record, its inflow and in-degree, and the
+   traffic's rate and packet size. Equal keys mean equal inputs to the
+   same float operations, so a hit is the value a recomputation would
+   return (up to [vid], restamped on the way out). *)
+let term_key model g ~(traffic : Traffic.t) id =
+  let v = Graph.vertex g id in
+  let b = Bytes.create 81 in
+  let put_float i x = Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x) in
+  let put_int i n = Bytes.set_int64_le b (8 * i) (Int64.of_int n) in
+  put_float 0 v.service.throughput;
+  put_int 1 v.service.parallelism;
+  put_int 2 v.service.queue_capacity;
+  put_float 3 v.service.overhead;
+  put_float 4 v.service.accel;
+  put_float 5 v.service.partition;
+  put_float 6 (Throughput.vertex_inflow g id);
+  put_int 7 (Graph.in_degree g id);
+  put_float 8 traffic.rate;
+  put_float 9 traffic.packet_size;
+  Bytes.set_uint8 b 80
+    (match model with
+    | Mm1n_model -> 0
+    | Mmcn_model -> 1
+    | Mm1_model -> 2
+    | No_queueing -> 3);
+  Bytes.unsafe_to_string b
+
+let memoized_terms memo ~model g ~traffic id =
+  let key = term_key model g ~traffic id in
+  match Mutex.protect memo.mutex (fun () -> Lognic_numerics.Lru.find_opt memo.terms key) with
+  | Some t -> if t.vid = id then t else { t with vid = id }
+  | None ->
+    let t = vertex_terms ~model g ~traffic id in
+    Mutex.protect memo.mutex (fun () -> Lognic_numerics.Lru.add memo.terms key t);
+    t
+
+let evaluate ?(model = Mm1n_model) ?structure ?memo g ~hw ~traffic =
+  let term_of =
+    match memo with
+    | None -> fun id -> vertex_terms ~model g ~traffic id
+    | Some memo -> memoized_terms memo ~model g ~traffic
+  in
+  evaluate_with ?structure ~term_of g ~hw ~traffic
 
 let pp_result ppf r =
   Fmt.pf ppf "@[<v>mean latency: %.2f us@,carried rate: %.3f Gbps"

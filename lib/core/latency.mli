@@ -102,16 +102,34 @@ val path_weights : Graph.t -> (Graph.vertex_id list * float) list
     ({!Graph.paths_capped}), weights renormalized over that subset,
     rather than raising. *)
 
+type term_memo
+(** A bounded, mutex-guarded memo of {!vertex_terms}, for a caller that
+    evaluates many graphs differing in a few vertices (the optimizer
+    holds one per search). It is keyed on the exact bits of everything
+    {!vertex_terms} reads — the queue model, the vertex's service
+    record, its inflow and in-degree, the traffic's rate and packet
+    size — so a hit returns exactly what a recomputation would. Safe to
+    share across domains. *)
+
+val term_memo : unit -> term_memo
+(** An empty memo (4096 entries, least-recently-used eviction). *)
+
 val evaluate :
   ?model:queue_model ->
+  ?structure:Graph.structure ->
+  ?memo:term_memo ->
   Graph.t ->
   hw:Params.hardware ->
   traffic:Traffic.t ->
   result
 (** Raises [Invalid_argument] if the graph fails {!Graph.validate} or
-    has no ingress→egress path. *)
+    has no ingress→egress path. With [structure], the graph is only
+    checked to conform to it and its paths are reused
+    ({!Graph.checked}); with [memo], per-vertex terms are looked up
+    there first. Neither changes the result. *)
 
 val evaluate_with :
+  ?structure:Graph.structure ->
   term_of:(Graph.vertex_id -> vertex_terms) ->
   Graph.t ->
   hw:Params.hardware ->
@@ -119,7 +137,8 @@ val evaluate_with :
   result
 (** {!evaluate} with the per-vertex queueing terms supplied by
     [term_of] (memoized per vertex, called at most once per id) instead
-    of the single-class Eq 11 derivation. [traffic] still scopes the
+    of the single-class Eq 11 derivation; [structure] as in
+    {!evaluate}. [traffic] still scopes the
     edge-transfer times (packet size) and the carried-rate discount
     (offered rate). [evaluate] is [evaluate_with] over
     {!vertex_terms}. *)

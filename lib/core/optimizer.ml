@@ -239,154 +239,194 @@ let optimize ?(rng = N.Rng.create ~seed:42) ?queue_model ?jobs ?observer g ~hw
   validate_knobs g knobs;
   let slices, dim = continuous_layout knobs g in
   let axes = discrete_axes knobs in
-  (* The memo is shared by every candidate of this search (including
-     across domains when the discrete grid is evaluated in parallel —
-     hence the mutex); hit/evaluation counts surface in the solution's
-     [stats]. *)
+  (* The search's evaluation context. No assignment kind adds or
+     removes a vertex or an edge ([update_service] and
+     [scale_out_split] only rewrite parameters), so the graph's
+     structure — validation and the ingress→egress paths — is checked
+     once here and every candidate only confirms it conforms. The
+     vertex-term memo lets a candidate reuse the queueing terms of the
+     vertices its knobs leave untouched. Both live for this one search,
+     so every search starts cold. *)
+  let structure = Graph.checked ~who:"Optimizer.optimize" g in
+  let terms = Latency.term_memo () in
+  let run_candidate assignment =
+    let g' = apply_assignment g assignment in
+    let traffic' = apply_traffic traffic assignment in
+    (g', Estimate.run ?queue_model ~structure ~memo:terms g' ~hw ~traffic:traffic')
+  in
+  let score_of assignment =
+    score ?queue_model objective (snd (run_candidate assignment))
+  in
+  (* Search accounting follows enumeration order, on the calling domain
+     only: every request is replayed, in the order a sequential search
+     makes them, through one LRU of canonical keys. [memo_hits],
+     [sequence] and [cache_hit] are therefore the same at every [jobs],
+     and the observer sees candidates in sequence order. *)
   let memo = N.Lru.create ~capacity:4096 in
-  let memo_mutex = Mutex.create () in
-  let evaluations = Atomic.make 0 and memo_hits = Atomic.make 0 in
-  let observe ~sequence ~candidate ~score ~cache_hit =
+  let evaluations = ref 0 and memo_hits = ref 0 in
+  let record (key, candidate, score) =
+    let sequence = !evaluations in
+    incr evaluations;
+    let cache_hit = Option.is_some (N.Lru.find_opt memo key) in
+    if cache_hit then incr memo_hits else N.Lru.add memo key score;
     match observer with
     | None -> ()
     | Some f -> f { sequence; candidate; score; cache_hit }
   in
-  let evaluate assignment =
-    let sequence = Atomic.fetch_and_add evaluations 1 in
-    let key = memo_key assignment in
-    match Mutex.protect memo_mutex (fun () -> N.Lru.find_opt memo key) with
-    | Some ((s, _, _) as result) ->
-      Atomic.incr memo_hits;
-      observe ~sequence ~candidate:assignment ~score:s ~cache_hit:true;
-      result
-    | None ->
-      let g' = apply_assignment g assignment in
-      let traffic' = apply_traffic traffic assignment in
-      let report = Estimate.run ?queue_model g' ~hw ~traffic:traffic' in
-      let result = (score ?queue_model objective report, g', report) in
-      Mutex.protect memo_mutex (fun () -> N.Lru.add memo key result);
-      let s, _, _ = result in
-      observe ~sequence ~candidate:assignment ~score:s ~cache_hit:false;
-      result
-  in
-  (* For one discrete choice, settle the continuous knobs (if any).
-     [mrng] is that grid point's pre-split multi-start rng — split in
-     enumeration order by the caller so parallel evaluation draws the
-     exact sequence the sequential walk did. *)
+  (* For one discrete choice, settle the continuous knobs. [mrng] is
+     that grid point's pre-split multi-start rng — split in enumeration
+     order by the caller so parallel evaluation draws the exact
+     sequence the sequential walk did. Runs on a worker domain: it
+     reads [memo] only through [peek] (nothing writes it during a
+     parallel map) and returns its requests for [record]. *)
   let solve_continuous mrng discrete_assignment =
-    if dim = 0 then
-      let s, g', report = evaluate discrete_assignment in
-      (s, discrete_assignment, g', report)
-    else begin
-      let bounds default =
-        let a = Array.make dim default in
-        List.iter
-          (fun s ->
-            for i = s.offset to s.offset + s.width - 1 do
-              a.(i) <- (if default = 0.01 then s.lower else s.upper)
-            done)
-          slices;
-        a
+    let local = N.Lru.create ~capacity:4096 and log = ref [] in
+    let evaluate assignment =
+      let key = memo_key assignment in
+      let s =
+        match N.Lru.find_opt local key with
+        | Some s -> s
+        | None ->
+          let s =
+            match N.Lru.peek memo key with
+            | Some s -> s
+            | None -> score_of assignment
+          in
+          N.Lru.add local key s;
+          s
       in
-      let lower = bounds 0.01 and upper = bounds 1. in
-      let problem =
-        {
-          N.Constrained.objective =
-            (fun x ->
-              (* The simplex may step outside the box; clamp before
-                 applying so the graph update stays in-domain (the
-                 penalty still discourages the excursion). *)
-              let x = N.Vec.clamp ~lo:lower ~hi:upper x in
-              let assignment =
-                discrete_assignment @ assignment_of_continuous knobs slices x
-              in
-              let s, _, _ = evaluate assignment in
-              s);
-          inequality = [];
-          lower;
-          upper;
-        }
-      in
-      let mrng =
-        match mrng with Some r -> r | None -> assert false
-      in
-      let sol = N.Constrained.multi_start ~rng:mrng problem in
-      let assignment =
-        discrete_assignment @ assignment_of_continuous knobs slices sol.N.Constrained.x
-      in
-      let s, g', report = evaluate assignment in
-      (s, assignment, g', report)
-    end
+      log := (key, assignment, s) :: !log;
+      s
+    in
+    let bounds default =
+      let a = Array.make dim default in
+      List.iter
+        (fun s ->
+          for i = s.offset to s.offset + s.width - 1 do
+            a.(i) <- (if default = 0.01 then s.lower else s.upper)
+          done)
+        slices;
+      a
+    in
+    let lower = bounds 0.01 and upper = bounds 1. in
+    let problem =
+      {
+        N.Constrained.objective =
+          (fun x ->
+            (* The simplex may step outside the box; clamp before
+               applying so the graph update stays in-domain (the
+               penalty still discourages the excursion). *)
+            let x = N.Vec.clamp ~lo:lower ~hi:upper x in
+            evaluate (discrete_assignment @ assignment_of_continuous knobs slices x));
+        inequality = [];
+        lower;
+        upper;
+      }
+    in
+    let sol = N.Constrained.multi_start ~rng:mrng problem in
+    let assignment =
+      discrete_assignment @ assignment_of_continuous knobs slices sol.N.Constrained.x
+    in
+    let s = evaluate assignment in
+    (List.rev !log, (s, assignment))
   in
-  let split_for_point () = if dim = 0 then None else Some (N.Rng.split rng) in
   let best = ref None in
-  let consider candidate =
+  let consider ((s', _) as candidate) =
     match !best with
     | None -> best := Some candidate
-    | Some (s, _, _, _) ->
-      let s', _, _, _ = candidate in
-      if s' < s then best := Some candidate
+    | Some (s, _) -> if s' < s then best := Some candidate
   in
-  (if axes = [] then consider (solve_continuous (split_for_point ()) [])
-   else begin
-     (* Exhaustive grid over the discrete axes, evaluated [jobs]-wide:
-        grid points are enumerated in odometer order (chunked so huge
-        spaces never materialize at once), mapped in parallel, and
-        folded in order with a strict [<] — the same winner the
-        sequential [Grid.minimize_ints] walk picked. *)
-     let ranges = Array.of_list (List.map (fun (_, n) -> (0, n - 1)) axes) in
-     let total =
-       Array.fold_left (fun acc (lo, hi) -> acc * (hi - lo + 1)) 1 ranges
-     in
-     if total > 10_000_000 then
-       invalid_arg "Optimizer.optimize: discrete search space too large";
-     let n_axes = Array.length ranges in
-     let current = Array.map fst ranges in
-     let advance () =
-       let rec go i =
-         if i < 0 then false
-         else begin
-           let _, hi = ranges.(i) in
-           if current.(i) < hi then begin
-             current.(i) <- current.(i) + 1;
-             true
-           end
-           else begin
-             current.(i) <- fst ranges.(i);
-             go (i - 1)
-           end
-         end
-       in
-       go (n_axes - 1)
-     in
-     let exhausted = ref false in
-     while not !exhausted do
-       let chunk = ref [] and filled = ref 0 in
-       while (not !exhausted) && !filled < 1024 do
-         chunk := (Array.copy current, split_for_point ()) :: !chunk;
-         incr filled;
-         if not (advance ()) then exhausted := true
-       done;
-       List.iter consider
-         (N.Parallel.map ?jobs
-            (fun (idx, mrng) ->
-              solve_continuous mrng (assignment_of_discrete axes idx))
-            (List.rev !chunk))
-     done
-   end);
+  (* With no continuous knob a grid point is one candidate: deduplicate
+     the chunk's canonical keys (and skip those the memo already
+     holds), evaluate each unique one once, then record and fold the
+     points in enumeration order. *)
+  let discrete_chunk points =
+    let entries =
+      List.map
+        (fun idx ->
+          let a = assignment_of_discrete axes idx in
+          (memo_key a, a))
+        points
+    in
+    let known = Hashtbl.create 64 and pending = ref [] in
+    List.iter
+      (fun (key, a) ->
+        if not (Hashtbl.mem known key) then
+          match N.Lru.peek memo key with
+          | Some s -> Hashtbl.add known key s
+          | None ->
+            Hashtbl.add known key nan;
+            pending := (key, a) :: !pending)
+      entries;
+    let pending = List.rev !pending in
+    let scores = N.Parallel.map ?jobs (fun (_, a) -> score_of a) pending in
+    List.iter2 (fun (key, _) s -> Hashtbl.replace known key s) pending scores;
+    List.iter
+      (fun (key, a) ->
+        let s = Hashtbl.find known key in
+        record (key, a, s);
+        consider (s, a))
+      entries
+  in
+  let continuous_chunk points =
+    let points = List.map (fun idx -> (idx, N.Rng.split rng)) points in
+    List.iter
+      (fun (log, candidate) ->
+        List.iter record log;
+        consider candidate)
+      (N.Parallel.map ?jobs
+         (fun (idx, mrng) -> solve_continuous mrng (assignment_of_discrete axes idx))
+         points)
+  in
+  (* Exhaustive grid over the discrete axes (one empty point when there
+     are none), evaluated [jobs]-wide: grid points are enumerated in
+     odometer order, chunked so huge spaces never materialize at once,
+     and folded in order with a strict [<] — the same winner the
+     sequential [Grid.minimize_ints] walk picked. *)
+  let ranges = Array.of_list (List.map (fun (_, n) -> (0, n - 1)) axes) in
+  let total = Array.fold_left (fun acc (lo, hi) -> acc * (hi - lo + 1)) 1 ranges in
+  if total > 10_000_000 then
+    invalid_arg "Optimizer.optimize: discrete search space too large";
+  let n_axes = Array.length ranges in
+  let current = Array.map fst ranges in
+  let advance () =
+    let rec go i =
+      if i < 0 then false
+      else begin
+        let _, hi = ranges.(i) in
+        if current.(i) < hi then begin
+          current.(i) <- current.(i) + 1;
+          true
+        end
+        else begin
+          current.(i) <- fst ranges.(i);
+          go (i - 1)
+        end
+      end
+    in
+    go (n_axes - 1)
+  in
+  let exhausted = ref false in
+  while not !exhausted do
+    let chunk = ref [] and filled = ref 0 in
+    while (not !exhausted) && !filled < 1024 do
+      chunk := Array.copy current :: !chunk;
+      incr filled;
+      if not (advance ()) then exhausted := true
+    done;
+    if dim = 0 then discrete_chunk (List.rev !chunk)
+    else continuous_chunk (List.rev !chunk)
+  done;
   match !best with
   | None -> assert false
-  | Some (_, assignment, graph, report) ->
+  | Some (_, assignment) ->
+    let graph, report = run_candidate assignment in
     {
       graph;
       assignment;
       report;
       feasible = feasible objective report;
-      stats =
-        {
-          evaluations = Atomic.get evaluations;
-          memo_hits = Atomic.get memo_hits;
-        };
+      stats = { evaluations = !evaluations; memo_hits = !memo_hits };
     }
 
 let pareto ?rng ?queue_model ?jobs ?observer ?(points = 8) g ~hw ~traffic

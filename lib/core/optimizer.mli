@@ -51,6 +51,11 @@ type search_stats = {
           assignments instead of re-running
           [Throughput.evaluate]/[Latency.evaluate] *)
 }
+(** Both counts are a function of the search alone, the same at every
+    [jobs]: they are what a sequential walk of the candidates in
+    enumeration order counts against a 4096-entry LRU — the first
+    request of a canonical assignment is the miss, a repeat is a hit
+    unless 4096 newer distinct assignments evicted it in between. *)
 
 type solution = {
   graph : Graph.t;  (** the base graph with the assignment applied *)
@@ -62,10 +67,9 @@ type solution = {
 
 type observation = {
   sequence : int;
-      (** 0-based evaluation index (the value of the [evaluations]
-          counter when this candidate was requested); dense but not
-          necessarily delivered in order under parallel grid
-          evaluation *)
+      (** 0-based evaluation index in enumeration order (the value of
+          the [evaluations] counter when this candidate was
+          requested) *)
   candidate : assignment list;  (** the knob assignment evaluated *)
   score : float;  (** objective value (lower is better, as searched) *)
   cache_hit : bool;  (** served from the memo, no model run *)
@@ -100,10 +104,20 @@ val optimize :
     [observer] fires once per candidate evaluation — memo hits
     included — with the candidate, its objective score, its cache-hit
     status, and a dense sequence index; {!Lognic_sim.Search_log} folds
-    these into a convergence log. Under parallel grid evaluation the
-    observer is called concurrently from worker domains: it must be
-    thread-safe, and observation order is not the sequence order. The
-    observer never influences the search result. *)
+    these into a convergence log. It is called on the calling domain,
+    in sequence order, once the candidates of a grid chunk have been
+    evaluated, so the stream is byte-identical at every [jobs]. The
+    observer never influences the search result.
+
+    Each call holds one evaluation context for the whole search: the
+    graph is validated and its paths enumerated once (no assignment
+    changes the graph's structure; each candidate is only checked to
+    {!Graph.conforms}), and a {!Latency.term_memo} lets a candidate
+    reuse the queueing terms of the vertices its knobs leave
+    untouched. Grid points with no continuous knob are deduplicated by
+    canonical assignment before the parallel map. The context lives
+    for this call only, so every search starts cold; none of it
+    changes a result. *)
 
 val pareto :
   ?rng:Lognic_numerics.Rng.t ->

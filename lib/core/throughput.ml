@@ -22,12 +22,6 @@ let vertex_inflow g id =
   | Graph.Egress | Graph.Ip ->
     List.fold_left (fun acc (e : Graph.edge) -> acc +. e.delta) 0. (Graph.in_edges g id)
 
-let require_valid g =
-  match Graph.validate g with
-  | Ok () -> ()
-  | Error errors ->
-    invalid_arg ("Throughput: invalid graph: " ^ String.concat "; " errors)
-
 let compute_caps g ~(hw : Params.hardware) =
   let vertex_caps =
     List.filter_map
@@ -61,8 +55,8 @@ let compute_caps g ~(hw : Params.hardware) =
   let memory_cap = if sum_beta > 0. then hw.bw_memory /. sum_beta else infinity in
   (vertex_caps, edge_caps, interface_cap, memory_cap)
 
-let evaluate g ~hw ~(traffic : Traffic.t) =
-  require_valid g;
+let evaluate ?structure g ~hw ~(traffic : Traffic.t) =
+  ignore (Graph.checked ~who:"Throughput" ?structure g : Graph.structure);
   let vertex_caps, edge_caps, interface_cap, memory_cap = compute_caps g ~hw in
   (* Enumerate every candidate bound in priority order; the fold keeps
      the first strictly-smaller one, so ties resolve deterministically. *)
@@ -93,7 +87,7 @@ let evaluate g ~hw ~(traffic : Traffic.t) =
   }
 
 let capacity g ~hw =
-  require_valid g;
+  ignore (Graph.checked ~who:"Throughput" g : Graph.structure);
   let vertex_caps, edge_caps, interface_cap, memory_cap = compute_caps g ~hw in
   List.fold_left
     (fun acc (_, c) -> Float.min acc c)

@@ -48,8 +48,15 @@ val vertex_inflow : Graph.t -> Graph.vertex_id -> float
 (** Σδ over incoming edges; by convention 1 for an ingress vertex (all
     of W enters through it). *)
 
-val evaluate : Graph.t -> hw:Params.hardware -> traffic:Traffic.t -> result
-(** Raises [Invalid_argument] if the graph fails {!Graph.validate}. *)
+val evaluate :
+  ?structure:Graph.structure ->
+  Graph.t ->
+  hw:Params.hardware ->
+  traffic:Traffic.t ->
+  result
+(** Raises [Invalid_argument] if the graph fails {!Graph.validate}. With
+    [structure] the graph is only checked to {!Graph.conforms} to it
+    (see {!Graph.checked}). *)
 
 val capacity : Graph.t -> hw:Params.hardware -> float
 (** Just Eq 4, for optimizer objectives (offered load ignored). *)

@@ -52,6 +52,8 @@ let find_opt t k =
     push_newest t n;
     Some n.value
 
+let peek t k = Option.map (fun n -> n.value) (Hashtbl.find_opt t.table k)
+
 let add t k v =
   match Hashtbl.find_opt t.table k with
   | Some n ->

@@ -13,6 +13,11 @@ val find_opt : ('k, 'v) t -> 'k -> 'v option
 (** Marks the entry most-recently used on a hit. Hits and misses are
     counted (see {!hits}/{!misses}). *)
 
+val peek : ('k, 'v) t -> 'k -> 'v option
+(** Like {!find_opt} but read-only: neither the recency order nor the
+    hit/miss counts change, so concurrent [peek]s of a cache nobody is
+    writing are safe. *)
+
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts (or refreshes) a binding, evicting the least-recently-used
     entry when over capacity. *)

@@ -12,10 +12,24 @@ let utilization t = t.lambda /. t.mu
    stable for any utilization — capacities here are queue credits, so N is
    small. *)
 let probabilities t =
+  let normalized raw =
+    let total = Array.fold_left ( +. ) 0. raw in
+    (Array.map (fun p -> p /. total) raw, total)
+  in
   let rho = utilization t in
-  let raw = Array.init (t.capacity + 1) (fun k -> rho ** float_of_int k) in
-  let total = Array.fold_left ( +. ) 0. raw in
-  Array.map (fun p -> p /. total) raw
+  let n = t.capacity in
+  let probs, total =
+    normalized (Array.init (n + 1) (fun k -> rho ** float_of_int k))
+  in
+  if Float.is_finite total then probs
+  else
+    (* rho^N overflowed (rho = 2 at N = 1100, rho = 10 at N = 400): the
+       forward vector normalizes inf/inf to NaN. Reflect about the full
+       state, Pro_k = sigma^(N-k) / sum_j sigma^j with sigma = 1/rho < 1,
+       which every overflowing case can use. Finite forward sums keep
+       the forward form, so their results do not move by a bit. *)
+    let sigma = 1. /. rho in
+    fst (normalized (Array.init (n + 1) (fun k -> sigma ** float_of_int (n - k))))
 
 let state_probabilities = probabilities
 
@@ -65,6 +79,11 @@ let waiting_time_closed_form t =
       (* rho^N - 1 via expm1/log1p keeps full relative precision in the
          denominator even when rho^N is within an ulp of 1. *)
       let geom = Float.expm1 (n *. Float.log1p h) in
-      (n *. (geom +. 1.) /. geom) -. (rho /. h)
+      let forward = n *. (geom +. 1.) /. geom in
+      if Float.is_finite forward then forward -. (rho /. h)
+      else
+        (* rho^N overflowed: N rho^N / (rho^N - 1) = N / (1 - rho^-N),
+           with rho^-N - 1 again through expm1. *)
+        (n /. -.Float.expm1 (-.n *. Float.log1p h)) -. (rho /. h)
   in
   Float.max 0. (inner /. t.mu)

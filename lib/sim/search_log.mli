@@ -13,10 +13,10 @@
       each knob;
     - evaluation / memo-hit totals and the best assignment seen.
 
-    All entry points lock an internal mutex, so one log can serve a
-    parallel ([~jobs]) grid search; under parallel evaluation the
-    best-so-far fold runs in arrival order, which may differ from
-    sequence order, but the final best is order-independent.
+    All entry points lock an internal mutex. The optimizer delivers
+    observations on its calling domain in sequence order at every
+    [~jobs], so the log — best-so-far curve included — is
+    byte-identical across job counts.
     [lognic optimize --search-log PATH] writes {!to_json} to a file. *)
 
 type t

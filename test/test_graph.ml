@@ -141,6 +141,51 @@ let topology () =
   | None -> Alcotest.fail "chain is a DAG");
   Alcotest.(check bool) "is dag" true (G.is_dag g)
 
+let topology_is_fifo_kahn () =
+  (* Sources in vertex order, then each vertex's newly-ready successors
+     in edge-insertion order: i's edges go to y first. *)
+  let g = G.empty in
+  let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc 1e9) g in
+  let g, x = G.add_vertex ~kind:G.Ip ~label:"x" ~service:(svc 1e9) g in
+  let g, y = G.add_vertex ~kind:G.Ip ~label:"y" ~service:(svc 1e9) g in
+  let g, e = G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc 1e9) g in
+  let g = G.add_edge ~src:i ~dst:y g in
+  let g = G.add_edge ~src:i ~dst:x g in
+  let g = G.add_edge ~src:x ~dst:e g in
+  let g = G.add_edge ~src:y ~dst:e g in
+  match G.topological_order g with
+  | Some order -> Alcotest.(check (list int)) "FIFO order" [ i; y; x; e ] order
+  | None -> Alcotest.fail "fan-out is a DAG"
+
+let checked_structure () =
+  let g, i, x, _, _ = fanout () in
+  let s = G.checked ~who:"test" g in
+  Alcotest.(check (list (list int))) "paths kept" (G.paths g) (G.structure_paths s);
+  (* parameter updates keep the shape *)
+  let tuned = G.update_service g x (fun sv -> { sv with G.queue_capacity = 3 }) in
+  let split = G.scale_out_split tuned i [ 0.1; 0.9 ] in
+  Alcotest.(check bool) "service update conforms" true (G.conforms s tuned);
+  Alcotest.(check bool) "split conforms" true (G.conforms s split);
+  ignore (G.checked ~who:"test" ~structure:s split : G.structure);
+  (* a new edge does not *)
+  let wider = G.remove_edge ~src:x ~dst:3 g in
+  Alcotest.(check bool) "removed edge does not conform" false (G.conforms s wider);
+  check_raises_invalid "non-conforming graph" (fun () ->
+      G.checked ~who:"test" ~structure:s wider);
+  (* errors are validate's, in validate's order *)
+  let broken = G.add_edge ~src:3 ~dst:i (G.remove_edge ~src:x ~dst:3 g) in
+  let errors =
+    match G.validate broken with
+    | Error errors -> errors
+    | Ok () -> Alcotest.fail "broken graph validates"
+  in
+  match G.checked ~who:"test" broken with
+  | _ -> Alcotest.fail "broken graph accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "same errors"
+      ("test: invalid graph: " ^ String.concat "; " errors)
+      msg
+
 let cycle_detection () =
   let g = G.empty in
   let g, a = G.add_vertex ~kind:G.Ip ~label:"a" ~service:(svc 1.) g in
@@ -281,3 +326,7 @@ let suite =
     quick "pretty printer" pretty_printer_runs;
   ]
   @ properties
+  @ [
+      quick "topological order is FIFO Kahn" topology_is_fifo_kahn;
+      quick "checked structure" checked_structure;
+    ]

@@ -183,6 +183,43 @@ let throughput_invalid_graph_rejected () =
       Lognic.Throughput.evaluate g ~hw
         ~traffic:(T.make ~rate:1. ~packet_size:64.))
 
+(* A search checks the structure once and shares a vertex-term memo
+   among parameter variants; each variant's report must be the
+   context-free one, bit for bit, and an overloaded deep queue (rho^N
+   past the double range) must stay finite under the finite-queue
+   models. *)
+let estimate_context_bit_identical () =
+  let g, _, w, _ = simple_chain () in
+  let structure = G.checked ~who:"test" g in
+  let memo = Lognic.Latency.term_memo () in
+  let same what a b =
+    Alcotest.(check int64) what (Int64.bits_of_float a) (Int64.bits_of_float b)
+  in
+  List.iter
+    (fun (queue, rate) ->
+      let g' = G.update_service g w (fun s -> { s with G.queue_capacity = queue }) in
+      let traffic = T.make ~rate ~packet_size:1500. in
+      List.iter
+        (fun queue_model ->
+          let plain = Lognic.Estimate.run ~queue_model g' ~hw ~traffic in
+          let ctx = Lognic.Estimate.run ~queue_model ~structure ~memo g' ~hw ~traffic in
+          let what = Printf.sprintf "N=%d rate=%g" queue rate in
+          same (what ^ " mean") plain.latency.mean ctx.latency.mean;
+          same (what ^ " carried") plain.latency.carried_rate ctx.latency.carried_rate;
+          same (what ^ " attained") plain.throughput.attained ctx.throughput.attained;
+          if queue_model <> Lognic.Latency.Mm1_model then
+            Alcotest.(check bool) (what ^ " finite") true (Float.is_finite ctx.latency.mean))
+        Lognic.Latency.[ Mm1n_model; Mmcn_model; Mm1_model; No_queueing ])
+    [ (4, 1. *. U.gbps); (32, 1. *. U.gbps); (4, 1. *. U.gbps); (1100, 4. *. U.gbps) ];
+  let other =
+    let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc 1e9) G.empty in
+    let g, e = G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc 1e9) g in
+    G.add_edge ~src:i ~dst:e g
+  in
+  check_raises_invalid "non-conforming graph" (fun () ->
+      Lognic.Estimate.run ~structure other ~hw
+        ~traffic:(T.make ~rate:1e9 ~packet_size:64.))
+
 (* Latency (Eqs 5-12) *)
 
 let latency_terms_low_load () =
@@ -434,4 +471,7 @@ let suite =
     quick "params: table 2" params_table;
   ]
   @ properties
+  @ [
+      quick "estimate: search context is bit-identical" estimate_context_bit_identical;
+    ]
 

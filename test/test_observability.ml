@@ -173,6 +173,36 @@ let explain_rows_ranked_and_joined () =
 
 (* Optimizer search telemetry: the observer sees every evaluation,
    and the search log's fold matches the solution's own stats. *)
+(* The search log is a pure function of the search: stats, sequence
+   numbers and cache-hit flags follow enumeration order, so the JSON is
+   byte-identical at any [jobs] (duplicate grid points included). *)
+let search_log_jobs_invariant () =
+  let g = pipeline ~ip_rate:(2. *. U.gbps) () in
+  let w = (List.nth (G.vertices g) 1).G.id in
+  let search jobs =
+    let log = S.Search_log.create () in
+    let solution =
+      Lognic.Optimizer.optimize ~jobs ~observer:(S.Search_log.observer log) g ~hw
+        ~traffic
+        ~knobs:
+          [
+            Lognic.Optimizer.Accel (w, [| 1.; 2.; 1.; 4.; 2. |]);
+            Lognic.Optimizer.Queue_capacity (w, 2, 40);
+          ]
+        Lognic.Optimizer.Minimize_latency
+    in
+    (solution.stats, S.Search_log.to_string log)
+  in
+  let stats1, json1 = search 1 in
+  Alcotest.(check bool) "duplicates hit the memo" true
+    (stats1.Lognic.Optimizer.memo_hits = 2 * 39);
+  List.iter
+    (fun jobs ->
+      let stats, json = search jobs in
+      Alcotest.(check bool) (Printf.sprintf "stats at jobs=%d" jobs) true (stats = stats1);
+      Alcotest.(check string) (Printf.sprintf "search log at jobs=%d" jobs) json1 json)
+    [ 2; 4 ]
+
 let search_log_matches_stats () =
   let g = pipeline ~ip_rate:(2. *. U.gbps) () in
   let _, w, _ =
@@ -364,4 +394,5 @@ let suite =
     quick "search log: matches optimizer stats" search_log_matches_stats;
     quick "quantity: parse_exn raises Invalid_argument"
       quantity_parse_exn_names_input;
+    quick "search log: byte-identical at any jobs" search_log_jobs_invariant;
   ]

@@ -125,6 +125,32 @@ let mm1n_overload_carries_capacity () =
   let q = Q.Mm1n.create ~lambda:100. ~mu:1. ~capacity:16 in
   check_within ~pct:2. "carried rate ~ mu" 1. (Q.Mm1n.throughput q)
 
+let mm1n_deep_overload_stays_finite () =
+  (* rho^N overflows a double here; every query must still be the
+     finite deep-queue limit (blocking -> 1 - 1/rho, L -> N - 1/(rho-1))
+     rather than NaN. *)
+  List.iter
+    (fun (rho, capacity) ->
+      let q = Q.Mm1n.create ~lambda:rho ~mu:1. ~capacity in
+      let name fmt = Printf.sprintf ("rho=%g N=%d: " ^^ fmt) rho capacity in
+      let probs = Q.Mm1n.state_probabilities q in
+      check_close ~tol:1e-12 (name "states sum to 1") 1.
+        (Array.fold_left ( +. ) 0. probs);
+      check_close ~tol:1e-12 (name "blocking") (1. -. (1. /. rho))
+        (Q.Mm1n.blocking_probability q);
+      let n = float_of_int capacity in
+      let expected_wait = n -. (1. /. (rho -. 1.)) -. 1. in
+      check_close ~tol:1e-9 (name "Q from the state vector") expected_wait
+        (Q.Mm1n.mean_waiting_time q);
+      check_close ~tol:1e-9 (name "Q from Eq 12") expected_wait
+        (Q.Mm1n.waiting_time_closed_form q))
+    [ (2., 1100); (10., 400); (1.5, 4000) ];
+  (* Just below the overflow the forward form still applies and agrees
+     with the reflected one above it. *)
+  let below = Q.Mm1n.create ~lambda:2. ~mu:1. ~capacity:1000 in
+  check_close ~tol:1e-12 "rho=2 N=1000: blocking" 0.5
+    (Q.Mm1n.blocking_probability below)
+
 let mm1n_blocking_decreases_with_capacity () =
   let blocking n =
     Q.Mm1n.blocking_probability (Q.Mm1n.create ~lambda:0.9 ~mu:1. ~capacity:n)
@@ -324,3 +350,6 @@ let suite =
     quick "littles: helpers" littles_helpers;
   ]
   @ properties
+  @ [
+      quick "mm1n: deep overloaded queue stays finite" mm1n_deep_overload_stays_finite;
+    ]

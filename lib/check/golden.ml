@@ -208,3 +208,75 @@ let contention_scenarios () =
         in
         Sim.Telemetry.Json.to_string (Sim.Contention.to_json report) );
   ]
+
+(* Pinned feature composition: one fixed-seed flow-cache run with every
+   optional feature on at once — series sampling, tracing, invariant
+   checking, a live metrics stream, three tenants, the flow cache and a
+   three-fault plan (engine loss, interface degradation, drop burst).
+   The other fixtures each pin one feature; this one pins how they
+   compose: the rng split order (generator, router, nodes, fault,
+   tenant, flow, trace), which arrivals draw from each optional stream,
+   the metrics instrument order with tenant gauges last, and the
+   invariant checks that read fault state.  It renders two texts: the
+   measurement, tenant, flow-cache, invariant and Chrome-trace JSON as
+   one object, and the NDJSON metrics stream. *)
+let all_features_scenarios () =
+  [
+    ( "all-features",
+      fun () ->
+        let buf = Buffer.create 65536 in
+        let metrics =
+          {
+            Sim.Metrics.default_config with
+            interval = 5e-4;
+            on_snapshot =
+              Some
+                (fun snap ->
+                  Sim.Metrics.snapshot_to_buffer buf snap;
+                  Buffer.add_char buf '\n');
+          }
+        in
+        let spec =
+          Lognic.Flowcache.spec ~zipf:1.1 ~emc_entries:256
+            ~megaflow_entries:1024 ~flows:4096 ()
+        in
+        let app = Lognic_apps.Flow_cache.default in
+        let config =
+          Sim.Netsim.Config.(
+            default |> with_seed 23 |> with_horizon 5e-3
+            |> with_sampling 5e-4
+            |> with_trace Sim.Trace.default_config
+            |> with_invariants true |> with_metrics metrics
+            |> with_tenants (Sim.Tenant.uniform 3)
+            |> with_flow_cache spec)
+        in
+        let faults =
+          [
+            Sim.Faults.engine_down ~vertex:"megaflow" ~engines:4 ~start:1e-3
+              ~stop:2e-3;
+            Sim.Faults.medium_degraded ~medium:"interface" ~factor:0.5
+              ~start:1.5e-3 ~stop:2.5e-3;
+            Sim.Faults.drop_burst ~probability:0.2 ~start:3e-3 ~stop:3.5e-3;
+          ]
+        in
+        let m =
+          Sim.Netsim.execute
+            (Sim.Netsim.Run.single ~config ~faults
+               (Lognic_apps.Flow_cache.graph app)
+               ~hw:Lognic_apps.Flow_cache.hardware
+               ~traffic:(Lognic_apps.Flow_cache.traffic app))
+        in
+        let module J = Sim.Telemetry.Json in
+        let opt f = function None -> J.Null | Some x -> f x in
+        let json =
+          J.Obj
+            [
+              ("measurement", Sim.Netsim.measurement_to_json m);
+              ("tenants", opt Sim.Tenant.stats_to_json m.tenants);
+              ("flow_cache", opt Sim.Flow_cache.stats_to_json m.flow_cache);
+              ("invariants", opt Sim.Invariants.report_to_json m.invariants);
+              ("trace", opt Sim.Trace.to_chrome_json m.trace);
+            ]
+        in
+        (J.to_string json, Buffer.contents buf) );
+  ]

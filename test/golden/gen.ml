@@ -28,4 +28,10 @@ let () =
   List.iter
     (fun (name, render) ->
       write ~ext:".ndjson" dir name (String.trim (render ())))
-    (Lognic_check.Golden.metrics_scenarios ())
+    (Lognic_check.Golden.metrics_scenarios ());
+  List.iter
+    (fun (name, render) ->
+      let json, ndjson = render () in
+      write dir name json;
+      write ~ext:".ndjson" dir name (String.trim ndjson))
+    (Lognic_check.Golden.all_features_scenarios ())

@@ -66,9 +66,19 @@ let tenant_case (name, render) =
 let flowcache_case (name, render) =
   quick name (fun () -> byte_identity_case name (String.trim (render ())))
 
+(* The all-features fixture pins how the optional features compose in
+   one run: its JSON text and its metrics stream are compared from the
+   same execution. *)
+let all_features_case (name, render) =
+  quick name (fun () ->
+      let json, ndjson = render () in
+      byte_identity_case name (String.trim json);
+      byte_identity_case ~ext:".ndjson" name (String.trim ndjson))
+
 let suite =
   List.map scenario_case (Lognic_check.Golden.scenarios ())
   @ List.map contention_case (Lognic_check.Golden.contention_scenarios ())
   @ List.map tenant_case (Lognic_check.Golden.tenant_scenarios ())
   @ List.map flowcache_case (Lognic_check.Golden.flowcache_scenarios ())
   @ List.map metrics_case (Lognic_check.Golden.metrics_scenarios ())
+  @ List.map all_features_case (Lognic_check.Golden.all_features_scenarios ())

@@ -173,6 +173,17 @@ let render_figures () =
 
 let md5_graph = D.Liquidio.inline_accel_graph ~spec:D.Accel_spec.md5 ~packet_size:U.mtu ()
 let md5_traffic = Lognic.Traffic.make ~rate:D.Liquidio.line_rate ~packet_size:U.mtu
+
+(* The pinned md5-workload simulation the overhead gates time, and the
+   measurement JSON their identity checks compare. *)
+let gate_config = Lognic_sim.Netsim.Config.(default |> with_horizon ~warmup:2e-4 1e-2)
+
+let md5_spec ?faults config =
+  Lognic_sim.Netsim.Run.single ~config ?faults md5_graph ~hw:D.Liquidio.hardware
+    ~traffic:md5_traffic
+
+let measurement_json m =
+  Lognic_sim.Telemetry.Json.to_string (Lognic_sim.Netsim.measurement_to_json m)
 let nvme_graph = D.Stingray.nvme_of_graph ~io:D.Ssd.rrd_4k ()
 let nvme_traffic = Lognic.Traffic.make ~rate:2e9 ~packet_size:(4. *. U.kib)
 let panic_profile = List.hd Lognic_apps.Panic_scenarios.profiles
@@ -254,32 +265,32 @@ let primitive_benches =
              (Lognic_queueing.Mm1n.create ~lambda:0.9 ~mu:1. ~capacity:32)));
     Test.make ~name:"sim:1ms-simulated"
       (Staged.stage (fun () ->
-           Lognic_sim.Netsim.run_single
+           Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
              ~config:
                Lognic_sim.Netsim.Config.(
                  default |> with_horizon ~warmup:1e-4 1e-3)
-             md5_graph ~hw:D.Liquidio.hardware ~traffic:md5_traffic));
+             md5_graph ~hw:D.Liquidio.hardware ~traffic:md5_traffic)));
     Test.make ~name:"sim:1ms-telemetry-sampled"
       (* same run with 50 samples of every entity: the observability
          overhead the sampling path must keep negligible *)
       (Staged.stage (fun () ->
-           Lognic_sim.Netsim.run_single
+           Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
              ~config:
                Lognic_sim.Netsim.Config.(
                  default |> with_horizon ~warmup:1e-4 1e-3
                  |> with_sampling 2e-5)
-             md5_graph ~hw:D.Liquidio.hardware ~traffic:md5_traffic));
+             md5_graph ~hw:D.Liquidio.hardware ~traffic:md5_traffic)));
     Test.make ~name:"sim:1ms-traced"
       (* same run with the packet-lifecycle trace recorder attached
          (reservoir 64): the span-recording path whose overhead the
          --trace-overhead check bounds *)
       (Staged.stage (fun () ->
-           Lognic_sim.Netsim.run_single
+           Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
              ~config:
                Lognic_sim.Netsim.Config.(
                  default |> with_horizon ~warmup:1e-4 1e-3
                  |> with_trace { Lognic_sim.Trace.reservoir = 64 })
-             md5_graph ~hw:D.Liquidio.hardware ~traffic:md5_traffic));
+             md5_graph ~hw:D.Liquidio.hardware ~traffic:md5_traffic)));
     Test.make ~name:"optimizer:nelder-mead-2d"
       (Staged.stage (fun () ->
            Lognic_numerics.Nelder_mead.minimize
@@ -332,16 +343,11 @@ let run_benchmarks () =
 
 let trace_overhead_gate () =
   let config trace =
-    let c = Lognic_sim.Netsim.Config.(default |> with_horizon ~warmup:2e-4 1e-2) in
     match trace with
-    | None -> c
-    | Some t -> Lognic_sim.Netsim.Config.with_trace t c
+    | None -> gate_config
+    | Some t -> Lognic_sim.Netsim.Config.with_trace t gate_config
   in
-  let run trace =
-    ignore
-      (Lognic_sim.Netsim.run_single ~config:(config trace) md5_graph
-         ~hw:D.Liquidio.hardware ~traffic:md5_traffic)
-  in
+  let run trace = ignore (Lognic_sim.Netsim.execute (md5_spec (config trace))) in
   let traced = Some { Lognic_sim.Trace.reservoir = 64 } in
   (* warm both paths before timing anything *)
   run None;
@@ -367,11 +373,10 @@ let trace_overhead_gate () =
 (* --- fault-overhead gate (--fault-overhead) ---
 
    Two assertions about the fault-injection layer's cost on fault-free
-   runs. First, identity: the legacy run_single and an empty-plan
-   Run-spec execute must produce byte-identical measurement JSON (exit 4
-   on mismatch — the spec API is a wrapper, not a reimplementation, and
-   an empty plan must leave the simulator exactly on its pre-fault hot
-   path). Second, overhead: realizing the fault machinery via a no-op
+   runs. First, identity: a spec without a fault plan and an explicit
+   empty-plan spec must produce byte-identical measurement JSON (exit 4
+   on mismatch — an empty plan must leave the simulator exactly on its
+   fault-free hot path). Second, overhead: realizing the fault machinery via a no-op
    plan (a zero-probability drop burst spanning the horizon, which
    activates the fault rng stream and the per-packet sub-interval
    accounting but sheds nothing) must cost at most 5% over the empty
@@ -379,33 +384,19 @@ let trace_overhead_gate () =
    interleaved whole runs, compare minima. *)
 
 let fault_overhead_gate () =
-  let config =
-    Lognic_sim.Netsim.Config.(default |> with_horizon ~warmup:2e-4 1e-2)
-  in
-  let spec faults =
-    Lognic_sim.Netsim.Run.single ~config ~faults md5_graph
-      ~hw:D.Liquidio.hardware ~traffic:md5_traffic
-  in
+  let spec faults = md5_spec ~faults gate_config in
   let noop_plan =
     [
       Lognic_sim.Faults.drop_burst ~probability:0. ~start:0.
-        ~stop:config.Lognic_sim.Netsim.duration;
+        ~stop:gate_config.Lognic_sim.Netsim.duration;
     ]
   in
-  let legacy =
-    Lognic_sim.Netsim.run_single ~config md5_graph ~hw:D.Liquidio.hardware
-      ~traffic:md5_traffic
-  in
+  let unplanned = measurement_json (Lognic_sim.Netsim.execute (md5_spec gate_config)) in
   let empty = Lognic_sim.Netsim.execute (spec Lognic_sim.Faults.empty) in
-  let json m =
-    Lognic_sim.Telemetry.Json.to_string
-      (Lognic_sim.Netsim.measurement_to_json m)
-  in
-  if json legacy <> json empty then
-    fail_identity
-      "empty-plan Run-spec execute is not byte-identical to run_single";
+  if unplanned <> measurement_json empty then
+    fail_identity "empty-plan execute is not byte-identical to a run without a plan";
   Fmt.pr "empty-plan identity: OK (%d bytes of measurement JSON)@."
-    (String.length (json legacy));
+    (String.length unplanned);
   let run faults = ignore (Lognic_sim.Netsim.execute (spec faults)) in
   run Lognic_sim.Faults.empty;
   run noop_plan;
@@ -445,21 +436,11 @@ let fault_overhead_gate () =
    as in the trace gate: interleaved whole runs, compare minima. *)
 
 let invariant_overhead_gate () =
-  let config check_invariants =
-    Lognic_sim.Netsim.Config.(
-      default |> with_horizon ~warmup:2e-4 1e-2
-      |> with_invariants check_invariants)
-  in
   let measure check =
-    Lognic_sim.Netsim.run_single ~config:(config check) md5_graph
-      ~hw:D.Liquidio.hardware ~traffic:md5_traffic
-  in
-  let json m =
-    Lognic_sim.Telemetry.Json.to_string
-      (Lognic_sim.Netsim.measurement_to_json m)
+    Lognic_sim.Netsim.(execute (md5_spec (Config.with_invariants check gate_config)))
   in
   let off = measure false and on_ = measure true in
-  if json off <> json on_ then
+  if measurement_json off <> measurement_json on_ then
     fail_identity
       "check_invariants changed the measurement JSON (must be \
        observation-only)";
@@ -502,7 +483,7 @@ let invariant_overhead_gate () =
    Two assertions about the multi-resource contention layer on
    contention-free runs. First, identity: [Contention.run] without a
    contention spec must drive the {e identical} simulation a plain
-   [Netsim.run] with the same (fully pinned) config would — the
+   [Netsim.execute] with the same (fully pinned) config would — the
    measurement JSON inside the report must be byte-identical to the
    standalone run (exit 4 on mismatch; the joint model and the report
    join are observation-only). Second, overhead: the full contention
@@ -529,31 +510,27 @@ let contention_overhead_gate () =
       (Lognic.Traffic.make ~rate:(D.Liquidio.line_rate /. 4.) ~packet_size:512., 0.4);
     ]
   in
-  let json m =
-    Lognic_sim.Telemetry.Json.to_string
-      (Lognic_sim.Netsim.measurement_to_json m)
-  in
   let report =
     Lognic_sim.Contention.run ~config md5_graph ~hw:D.Liquidio.hardware ~mix
   in
-  let plain =
-    Lognic_sim.Netsim.run ~config md5_graph ~hw:D.Liquidio.hardware ~mix
+  let run_plain () =
+    Lognic_sim.Netsim.(execute (Run.make ~config md5_graph ~hw:D.Liquidio.hardware ~mix))
   in
-  if json report.Lognic_sim.Contention.base.Lognic_sim.Explain.mix_measurement
-     <> json plain
+  let plain = measurement_json (run_plain ()) in
+  if
+    measurement_json report.Lognic_sim.Contention.base.Lognic_sim.Explain.mix_measurement
+    <> plain
   then
     fail_identity
       "contention-off report measurement is not byte-identical to a plain \
        run";
   Fmt.pr "contention-off identity: OK (%d bytes of measurement JSON)@."
-    (String.length (json plain));
+    (String.length plain);
   let run_report () =
     ignore
       (Lognic_sim.Contention.run ~config md5_graph ~hw:D.Liquidio.hardware ~mix)
   in
-  let run_plain () =
-    ignore (Lognic_sim.Netsim.run ~config md5_graph ~hw:D.Liquidio.hardware ~mix)
-  in
+  let run_plain () = ignore (run_plain ()) in
   run_report ();
   run_plain ();
   let time f =
@@ -598,10 +575,9 @@ let contention_overhead_gate () =
 let metrics_overhead_gate () =
   let module M = Lognic_sim.Metrics in
   let config metrics =
-    let c = Lognic_sim.Netsim.Config.(default |> with_horizon ~warmup:2e-4 1e-2) in
     match metrics with
-    | None -> c
-    | Some m -> Lognic_sim.Netsim.Config.with_metrics m c
+    | None -> gate_config
+    | Some m -> Lognic_sim.Netsim.Config.with_metrics m gate_config
   in
   let sink = Buffer.create 65536 in
   let streaming =
@@ -618,13 +594,9 @@ let metrics_overhead_gate () =
   in
   let measure metrics =
     Buffer.clear sink;
-    Lognic_sim.Netsim.run_single ~config:(config metrics) md5_graph
-      ~hw:D.Liquidio.hardware ~traffic:md5_traffic
+    Lognic_sim.Netsim.execute (md5_spec (config metrics))
   in
-  let json m =
-    Lognic_sim.Telemetry.Json.to_string
-      (Lognic_sim.Netsim.measurement_to_json m)
-  in
+  let json = measurement_json in
   let off = measure None in
   let on_ = measure streaming in
   if json off <> json on_ then
@@ -688,19 +660,15 @@ let tenant_overhead_gate () =
   in
   let base d = NS.Config.(default |> with_horizon ~warmup:2e-4 d) in
   let run config =
-    NS.run_single ~config md5_graph ~hw:D.Liquidio.hardware ~traffic
+    NS.execute (NS.Run.single ~config md5_graph ~hw:D.Liquidio.hardware ~traffic)
   in
-  let json m =
-    Lognic_sim.Telemetry.Json.to_string (NS.measurement_to_json m)
-  in
+  let json = measurement_json in
   let plain_json = json (run (base 1e-2)) in
-  let record_config =
-    { NS.default_config with duration = 1e-2; warmup = 2e-4 }
-  in
-  if json (run record_config) <> plain_json then
+  let setter_config = NS.Config.(default |> with_duration 1e-2 |> with_warmup 2e-4) in
+  if json (run setter_config) <> plain_json then
     fail_identity
-      "Config-builder run is not byte-identical to the record-literal \
-       config run";
+      "with_horizon run is not byte-identical to the with_duration / \
+       with_warmup config run";
   let solo = NS.Config.with_tenants (T.set [ T.spec "solo" ]) (base 1e-2) in
   if json (run solo) <> plain_json then
     fail_identity
@@ -816,11 +784,9 @@ let flowcache_overhead_gate () =
   let traffic = App.traffic App.default in
   let base d = NS.Config.(default |> with_horizon ~warmup:2e-4 d) in
   let run config =
-    NS.run_single ~config fc_graph ~hw:App.hardware ~traffic
+    NS.execute (NS.Run.single ~config fc_graph ~hw:App.hardware ~traffic)
   in
-  let json m =
-    Lognic_sim.Telemetry.Json.to_string (NS.measurement_to_json m)
-  in
+  let json = measurement_json in
   let plain_json = json (run (base 1e-2)) in
   let round_trip =
     NS.Config.(base 1e-2 |> with_flow_cache spec_1m |> without_flow_cache)
@@ -926,29 +892,15 @@ let baseline_number ~path ~key =
   float_of_string (String.sub contents !i (!j - !i))
 
 let events_per_sec_gate () =
-  let config =
-    Lognic_sim.Netsim.Config.(default |> with_horizon ~warmup:2e-4 1e-2)
-  in
-  let spec () =
-    Lognic_sim.Netsim.Run.single ~config md5_graph ~hw:D.Liquidio.hardware
-      ~traffic:md5_traffic
-  in
-  let json m =
-    Lognic_sim.Telemetry.Json.to_string
-      (Lognic_sim.Netsim.measurement_to_json m)
-  in
-  let legacy =
-    Lognic_sim.Netsim.run_single ~config md5_graph ~hw:D.Liquidio.hardware
-      ~traffic:md5_traffic
-  in
+  let spec () = md5_spec gate_config in
+  let fresh = measurement_json (Lognic_sim.Netsim.execute (spec ())) in
   let engine = Lognic_sim.Engine.create () in
   ignore (Lognic_sim.Netsim.execute_with ~engine (spec ()));
   let reused = Lognic_sim.Netsim.execute_with ~engine (spec ()) in
-  if json legacy <> json reused then
-    fail_identity
-      "reused-engine execute_with is not byte-identical to run_single";
+  if fresh <> measurement_json reused then
+    fail_identity "reused-engine execute_with is not byte-identical to a fresh execute";
   Fmt.pr "engine-reuse identity: OK (%d bytes of measurement JSON)@."
-    (String.length (json legacy));
+    (String.length fresh);
   let run () = ignore (Lognic_sim.Netsim.execute_with ~engine (spec ())) in
   let w0 = Gc.minor_words () in
   run ();

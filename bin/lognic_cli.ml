@@ -27,6 +27,13 @@ let resolve_traffic (doc : Lognic_dsl.Parser.document) rate packet =
          "no traffic profile: add a 'traffic' line to the graph or pass --rate \
           and --packet")
 
+(* A graph carrying `class` lines simulates its whole mix unless the
+   command line pins a single class. *)
+let resolve_mix (doc : Lognic_dsl.Parser.document) rate packet =
+  match (doc.mix, rate, packet) with
+  | Some mix, None, None -> Ok mix
+  | _ -> Result.map (fun t -> [ (t, 1.) ]) (resolve_traffic doc rate packet)
+
 let hardware_of doc = Option.value doc.Lognic_dsl.Parser.hardware ~default:default_hardware
 
 (* Common arguments *)
@@ -182,24 +189,27 @@ let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
+let sim_config ~duration ~seed =
+  Lognic_sim.Netsim.Config.(default |> with_horizon duration |> with_seed seed)
+
+(* The simulator rejects a bad config, graph or fault plan with
+   Invalid_argument naming the offending field or entity; report it as a
+   one-line command error rather than an uncaught exception. *)
+let guard f = match f () with v -> Ok v | exception Invalid_argument m -> Error (`Msg m)
+
+let simulate config (doc : Lognic_dsl.Parser.document) ~mix =
+  guard (fun () ->
+      Lognic_sim.Netsim.(execute (Run.make ~config doc.graph ~hw:(hardware_of doc) ~mix)))
+
 let simulate_cmd =
   let run graph_path rate packet duration seed =
     let ( let* ) = Result.bind in
     let* doc = load_document graph_path in
     let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
+      sim_config ~duration ~seed
     in
-    (* a graph carrying `class` lines simulates the whole mix unless the
-       command line pins a single class *)
-    let* mix =
-      match (doc.mix, rate, packet) with
-      | Some mix, None, None -> Ok mix
-      | _ ->
-        let* traffic = resolve_traffic doc rate packet in
-        Ok [ (traffic, 1.) ]
-    in
-    let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
+    let* mix = resolve_mix doc rate packet in
+    let* m = simulate config doc ~mix in
     let s = m.summary in
     Fmt.pr "throughput: %.3f Gbps (%d packets delivered, %d dropped)@."
       (Lognic.Units.to_gbps s.Lognic_sim.Telemetry.throughput)
@@ -254,19 +264,11 @@ let check_cmd =
   let check_graph ~seed ~duration path =
     let ( let* ) = Result.bind in
     let* doc = load_document path in
-    let* mix =
-      match doc.mix with
-      | Some mix -> Ok mix
-      | None ->
-        let* traffic = resolve_traffic doc None None in
-        Ok [ (traffic, 1.) ]
-    in
+    let* mix = resolve_mix doc None None in
     let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed
-        |> with_invariants true)
+      Lognic_sim.Netsim.Config.with_invariants true (sim_config ~duration ~seed)
     in
-    let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
+    let* m = simulate config doc ~mix in
     match m.invariants with
     | None ->
       Error (`Msg "internal error: check_invariants was set but no report came back")
@@ -393,21 +395,13 @@ let report_cmd =
     in
     let config =
       let open Lognic_sim.Netsim.Config in
-      let base =
-        default |> with_horizon duration |> with_seed seed |> with_sampling dt
-      in
+      let base = sim_config ~duration ~seed |> with_sampling dt in
       match trace_events with
       | Some _ -> with_trace { Lognic_sim.Trace.reservoir } base
       | None -> base
     in
-    let* mix =
-      match (doc.mix, rate, packet) with
-      | Some mix, None, None -> Ok mix
-      | _ ->
-        let* traffic = resolve_traffic doc rate packet in
-        Ok [ (traffic, 1.) ]
-    in
-    let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
+    let* mix = resolve_mix doc rate packet in
+    let* m = simulate config doc ~mix in
     let s = m.summary in
     let module Tel = Lognic_sim.Telemetry in
     Fmt.pr "throughput: %.3f Gbps (%d delivered, %d dropped, loss %.2f%%)@."
@@ -557,13 +551,7 @@ let watch_cmd =
         (Ok []) slo_rules
       |> Result.map List.rev
     in
-    let* mix =
-      match (doc.mix, rate, packet) with
-      | Some mix, None, None -> Ok mix
-      | _ ->
-        let* traffic = resolve_traffic doc rate packet in
-        Ok [ (traffic, 1.) ]
-    in
+    let* mix = resolve_mix doc rate packet in
     let stream_oc = Option.map Out_channel.open_text stream in
     let tty = Unix.isatty Unix.stdout in
     let active = Hashtbl.create 8 in
@@ -627,12 +615,11 @@ let watch_cmd =
     in
     let profile = profile || profile_json <> None in
     let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed
-        |> with_metrics
-             { M.interval = dt; slo; profile; on_snapshot = Some on_snapshot })
+      Lognic_sim.Netsim.Config.with_metrics
+        { M.interval = dt; slo; profile; on_snapshot = Some on_snapshot }
+        (sim_config ~duration ~seed)
     in
-    let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
+    let* m = simulate config doc ~mix in
     Option.iter Out_channel.close stream_oc;
     let* mm =
       match m.metrics with
@@ -717,16 +704,16 @@ let explain_cmd =
     let ( let* ) = Result.bind in
     let* doc = load_document graph_path in
     let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
+      sim_config ~duration ~seed
     in
     (* a graph carrying `class` lines explains the whole mix (per-class
        residual rows) unless the command line pins a single class *)
     (match (doc.mix, rate, packet) with
     | Some mix, None, None ->
-      let report =
-        Lognic_sim.Explain.run_mix ~config ~queue_model doc.graph
-          ~hw:(hardware_of doc) ~mix
+      let* report =
+        guard (fun () ->
+            Lognic_sim.Explain.run_mix ~config ~queue_model doc.graph
+              ~hw:(hardware_of doc) ~mix)
       in
       Fmt.pr "%a@." Lognic_sim.Explain.pp_mix report;
       Option.iter
@@ -737,9 +724,10 @@ let explain_cmd =
       Ok ()
     | _ ->
       let* traffic = resolve_traffic doc rate packet in
-      let report =
-        Lognic_sim.Explain.run ~config ~queue_model doc.graph
-          ~hw:(hardware_of doc) ~traffic
+      let* report =
+        guard (fun () ->
+            Lognic_sim.Explain.run ~config ~queue_model doc.graph
+              ~hw:(hardware_of doc) ~traffic)
       in
       Fmt.pr "%a@." Lognic_sim.Explain.pp report;
       Option.iter
@@ -833,12 +821,12 @@ let tenants_cmd =
         | exception Invalid_argument m -> Error (`Msg m))
     in
     let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
+      sim_config ~duration ~seed
     in
-    let report =
-      Lognic_sim.Explain.run_tenants ~config ~queue_model doc.graph
-        ~hw:(hardware_of doc) ~traffic ~tenants
+    let* report =
+      guard (fun () ->
+          Lognic_sim.Explain.run_tenants ~config ~queue_model doc.graph
+            ~hw:(hardware_of doc) ~traffic ~tenants)
     in
     Fmt.pr "%a@." Lognic_sim.Explain.pp_tenants report;
     Option.iter
@@ -923,8 +911,7 @@ let flowcache_cmd =
           ()
       in
       let config =
-        Lognic_sim.Netsim.Config.(
-          default |> with_horizon duration |> with_seed seed)
+        sim_config ~duration ~seed
       in
       Lognic_sim.Explain.run_flowcache ~config ~queue_model spec
         (App.graph cfg) ~hw:App.hardware ~traffic:(App.traffic ~load cfg)
@@ -1010,13 +997,7 @@ let contention_cmd =
       interferences json =
     let ( let* ) = Result.bind in
     let* doc = load_document graph_path in
-    let* mix =
-      match (doc.mix, rate, packet) with
-      | Some mix, None, None -> Ok mix
-      | _ ->
-        let* traffic = resolve_traffic doc rate packet in
-        Ok [ (traffic, 1.) ]
-    in
+    let* mix = resolve_mix doc rate packet in
     let n = List.length mix in
     let* resources =
       parse_specs resource_grammar resources
@@ -1079,16 +1060,11 @@ let contention_cmd =
           (Lognic.Extensions.contention ~demands:demand_vectors ~interference)
     in
     let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
+      sim_config ~duration ~seed
     in
     let* report =
-      match
-        Lognic_sim.Contention.run ~config ~queue_model ?contention doc.graph
-          ~hw ~mix
-      with
-      | report -> Ok report
-      | exception Invalid_argument m -> Error (`Msg m)
+      guard (fun () ->
+          Lognic_sim.Contention.run ~config ~queue_model ?contention doc.graph ~hw ~mix)
     in
     Fmt.pr "%a@." Lognic_sim.Contention.pp report;
     Option.iter
@@ -1242,16 +1218,12 @@ let faults_cmd =
       if runs < 1 then Error (`Msg "--runs must be >= 1") else Ok ()
     in
     let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
+      sim_config ~duration ~seed
     in
     let* report =
-      match
-        Lognic_sim.Resilience.run ~config ~queue_model ~runs ?jobs doc.graph
-          ~hw:(hardware_of doc) ~traffic ~plan
-      with
-      | report -> Ok report
-      | exception Invalid_argument m -> Error (`Msg m)
+      guard (fun () ->
+          Lognic_sim.Resilience.run ~config ~queue_model ~runs ?jobs doc.graph
+            ~hw:(hardware_of doc) ~traffic ~plan)
     in
     Fmt.pr "%a@." Lognic_sim.Resilience.pp report;
     Option.iter

@@ -55,7 +55,7 @@ let () =
   Fmt.pr "--- LogNIC estimate ---@.%a@." (Lognic.Estimate.pp_report g) report;
 
   (* 4. Cross-check against the packet-level simulator. *)
-  let m = Lognic_sim.Netsim.run_single g ~hw ~traffic in
+  let m = Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single g ~hw ~traffic) in
   Fmt.pr "--- simulator ---@.";
   Fmt.pr "throughput: %.3f Gbps, mean latency: %.2f us, p99: %.2f us@."
     (U.to_gbps m.summary.Lognic_sim.Telemetry.throughput)

@@ -254,10 +254,10 @@ let ext_tail ?(speed = Full) ppf =
            Lognic.Tail.overall (Lognic.Tail.evaluate g ~hw:validation_hw ~traffic)
          in
          let m =
-           Lognic_sim.Netsim.run_single
+           Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
              ~config:
                Lognic_sim.Netsim.Config.(default |> with_horizon duration)
-             g ~hw:validation_hw ~traffic
+             g ~hw:validation_hw ~traffic)
          in
          (load, q, m.summary))
        [ 0.3; 0.5; 0.7; 0.9 ])
@@ -381,21 +381,21 @@ let ext_observability ?(speed = Full) ppf =
            Lognic.Traffic.make ~rate:(load *. 4. *. U.gbps) ~packet_size:U.mtu
          in
          let m =
-           Lognic_sim.Netsim.run_single
+           Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
              ~config:
                Lognic_sim.Netsim.Config.(default |> with_horizon duration)
-             g ~hw:validation_hw ~traffic
+             g ~hw:validation_hw ~traffic)
          in
          (load, m))
        [ 0.5; 0.9; 1.5 ]);
   (* peak sampled queue depth at the bottleneck, from the ring traces *)
   let m =
-    Lognic_sim.Netsim.run_single
+    Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
       ~config:
         Lognic_sim.Netsim.Config.(
           default |> with_horizon duration |> with_sampling (duration /. 100.))
       g ~hw:validation_hw
-      ~traffic:(Lognic.Traffic.make ~rate:(1.5 *. 4. *. U.gbps) ~packet_size:U.mtu)
+      ~traffic:(Lognic.Traffic.make ~rate:(1.5 *. 4. *. U.gbps) ~packet_size:U.mtu))
   in
   List.iter
     (fun series ->

@@ -28,9 +28,9 @@ let fig5_granularity_sweep ?(duration = 0.05) ?seed ?jobs ?granularities ~spec
       in
       let report = Lognic.Estimate.run g ~hw:D.Liquidio.hardware ~traffic in
       let m =
-        Lognic_sim.Netsim.run_single
+        Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
           ~config:(Study.sim_config ?seed duration)
-          g ~hw:D.Liquidio.hardware ~traffic
+          g ~hw:D.Liquidio.hardware ~traffic)
       in
       {
         x = granularity;
@@ -48,9 +48,9 @@ let fig9_parallelism_sweep ?(duration = 0.05) ?seed ?jobs ?cores ~spec () =
       let g = D.Liquidio.inline_accel_graph ~cores:n ~spec ~packet_size () in
       let report = Lognic.Estimate.run g ~hw:D.Liquidio.hardware ~traffic in
       let m =
-        Lognic_sim.Netsim.run_single
+        Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
           ~config:(Study.sim_config ?seed duration)
-          g ~hw:D.Liquidio.hardware ~traffic
+          g ~hw:D.Liquidio.hardware ~traffic)
       in
       {
         x = float_of_int n;
@@ -85,9 +85,9 @@ let fig10_packet_size_sweep ?(duration = 0.05) ?seed ?jobs ?sizes ~spec () =
       let g = D.Liquidio.inline_accel_graph ~spec ~packet_size () in
       let report = Lognic.Estimate.run g ~hw:D.Liquidio.hardware ~traffic in
       let m =
-        Lognic_sim.Netsim.run_single
+        Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
           ~config:(Study.sim_config ?seed duration)
-          g ~hw:D.Liquidio.hardware ~traffic
+          g ~hw:D.Liquidio.hardware ~traffic)
       in
       {
         x = packet_size;

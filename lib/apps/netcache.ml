@@ -100,10 +100,10 @@ let hit_ratio_sweep ?(duration = 0.02) ?(seed = 71) ?jobs ?ratios config =
           ~packet_size:config.request_size
       in
       let m =
-        Lognic_sim.Netsim.run
+        Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.make
           ~config:(Study.sim_config ~seed:(seed + i) duration)
           g ~hw:Sw.hardware
-          ~mix:[ (saturating, 1.) ]
+          ~mix:[ (saturating, 1.) ])
       in
       let comfortable =
         Lognic.Traffic.make

@@ -32,9 +32,9 @@ let fig6_profile_sweep ?(duration = 0.4) ?(seed = 7) ?jobs ?(points = 10) ~io
           ~hw:D.Stingray.hardware ~traffic
       in
       let m =
-        Lognic_sim.Netsim.run_single
+        Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
           ~config:(sim_config ~seed:(seed + i) duration)
-          graph ~hw:D.Stingray.hardware ~traffic
+          graph ~hw:D.Stingray.hardware ~traffic)
       in
       {
         offered;
@@ -83,9 +83,9 @@ let fig7_read_ratio_sweep ?(duration = 0.4) ?(seed = 31) ?jobs ?ratios () =
       let measured_graph = D.Stingray.nvme_of_graph ~gc:D.Ssd.Gc_realistic ~io () in
       let model_graph = D.Stingray.nvme_of_graph ~gc:D.Ssd.Gc_worst_case ~io () in
       let m =
-        Lognic_sim.Netsim.run_single
+        Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
           ~config:(sim_config ~seed:(seed + i) duration)
-          measured_graph ~hw:D.Stingray.hardware ~traffic
+          measured_graph ~hw:D.Stingray.hardware ~traffic)
       in
       let report = Lognic.Estimate.run model_graph ~hw:D.Stingray.hardware ~traffic in
       {
@@ -106,9 +106,9 @@ let calibration_demo ?(duration = 0.2) ?(seed = 53) ~io () =
         let rate = eff.D.Ssd.capacity *. (0.3 +. (0.095 *. float_of_int i)) in
         let traffic = Lognic.Traffic.make ~rate ~packet_size:io.D.Ssd.io_size in
         let m =
-          Lognic_sim.Netsim.run_single
+          Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
             ~config:(sim_config ~seed:(seed + i) duration)
-            graph ~hw:D.Stingray.hardware ~traffic
+            graph ~hw:D.Stingray.hardware ~traffic)
         in
         ( m.summary.Lognic_sim.Telemetry.throughput,
           m.summary.Lognic_sim.Telemetry.mean_latency ))

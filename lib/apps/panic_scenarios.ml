@@ -47,9 +47,9 @@ let fig15_credit_sweep ?(duration = 0.03) ?(seed = 11) ?jobs
       let mix = T.mix_of_sizes ~rate:offered ~sizes:profile.sizes in
       let g = P.pipelined_graph ~credits ~sizes:profile.sizes () in
       let m =
-        Lognic_sim.Netsim.run
+        Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.make
           ~config:(Study.sim_config ~seed:(seed + credits) duration)
-          g ~hw:P.hardware ~mix
+          g ~hw:P.hardware ~mix)
       in
       let model_bandwidth, model_latency = model_point ~offered ~profile ~credits in
       {

@@ -1,12 +1,8 @@
 let sim_config ?seed ?(warmup_fraction = 0.1) duration =
-  let base = Lognic_sim.Netsim.default_config in
-  let seed = Option.value seed ~default:base.Lognic_sim.Netsim.seed in
-  {
-    base with
-    Lognic_sim.Netsim.seed;
-    duration;
-    warmup = duration *. warmup_fraction;
-  }
+  let c = Lognic_sim.Netsim.Config.default in
+  let seed = Option.value seed ~default:c.seed in
+  Lognic_sim.Netsim.Config.(
+    c |> with_seed seed |> with_horizon ~warmup:(duration *. warmup_fraction) duration)
 
 let header ppf title columns =
   Fmt.pf ppf "== %s ==@.%s@." title (String.concat "  " columns)

@@ -12,7 +12,7 @@
 val sim_config :
   ?seed:int -> ?warmup_fraction:float -> float -> Lognic_sim.Netsim.config
 (** [sim_config ?seed ?warmup_fraction duration] is
-    {!Lognic_sim.Netsim.default_config} with the given horizon, a warmup
+    {!Lognic_sim.Netsim.Config.default} with the given horizon, a warmup
     of [warmup_fraction] (default 0.1) of it, and the seed (default:
     the stock config's). *)
 

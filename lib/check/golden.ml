@@ -98,31 +98,35 @@ let measurement_string run =
    sink emits.  The fixture pins the instrument catalog, sampling
    order, delta/rate arithmetic, alert transitions and the streaming
    serializer's byte output in one comparison. *)
+(* A metrics config whose snapshots stream as NDJSON into [buf]. *)
+let ndjson_metrics ?(slo = []) buf interval =
+  {
+    Sim.Metrics.default_config with
+    interval;
+    slo;
+    on_snapshot =
+      Some
+        (fun snap ->
+          Sim.Metrics.snapshot_to_buffer buf snap;
+          Buffer.add_char buf '\n');
+  }
+
 let metrics_scenarios () =
   [
     ( "metrics-stream",
       fun () ->
         let buf = Buffer.create 65536 in
-        let metrics =
-            {
-              Sim.Metrics.default_config with
-              interval = 1e-4;
-              slo =
-                [
-                  Sim.Metrics.Slo.parse_exn "*.utilization>0.5x2";
-                  Sim.Metrics.Slo.parse_exn "run.dropped>0";
-                ];
-              on_snapshot =
-                Some
-                  (fun snap ->
-                    Sim.Metrics.snapshot_to_buffer buf snap;
-                    Buffer.add_char buf '\n');
-            }
+        let slo =
+          [
+            Sim.Metrics.Slo.parse_exn "*.utilization>0.5x2";
+            Sim.Metrics.Slo.parse_exn "run.dropped>0";
+          ]
         in
+        let metrics = ndjson_metrics ~slo buf 1e-4 in
         let config = Sim.Netsim.Config.with_metrics metrics (config ~seed:21 ()) in
         ignore
-          (Sim.Netsim.run_single ~config (md5_graph ())
-             ~hw:D.Liquidio.hardware ~traffic:md5_traffic);
+          (Sim.Netsim.execute (Sim.Netsim.Run.single ~config (md5_graph ())
+             ~hw:D.Liquidio.hardware ~traffic:md5_traffic));
         Buffer.contents buf );
   ]
 
@@ -225,17 +229,6 @@ let all_features_scenarios () =
     ( "all-features",
       fun () ->
         let buf = Buffer.create 65536 in
-        let metrics =
-          {
-            Sim.Metrics.default_config with
-            interval = 5e-4;
-            on_snapshot =
-              Some
-                (fun snap ->
-                  Sim.Metrics.snapshot_to_buffer buf snap;
-                  Buffer.add_char buf '\n');
-          }
-        in
         let spec =
           Lognic.Flowcache.spec ~zipf:1.1 ~emc_entries:256
             ~megaflow_entries:1024 ~flows:4096 ()
@@ -246,7 +239,8 @@ let all_features_scenarios () =
             default |> with_seed 23 |> with_horizon 5e-3
             |> with_sampling 5e-4
             |> with_trace Sim.Trace.default_config
-            |> with_invariants true |> with_metrics metrics
+            |> with_invariants true
+            |> with_metrics (ndjson_metrics buf 5e-4)
             |> with_tenants (Sim.Tenant.uniform 3)
             |> with_flow_cache spec)
         in

@@ -205,27 +205,27 @@ let mm1n_vs_sim_sojourn ~count =
         (Q.Mm1n.mean_time_in_system queue)
         m.Sim.Netsim.summary.Sim.Telemetry.mean_latency)
 
-(* ---- wrapper equivalence --------------------------------------------- *)
+(* ---- engine reuse ---------------------------------------------------- *)
 
-let run_wrapper_equivalence ~count =
-  QCheck.Test.make ~count ~name:"netsim: run wrapper equals Run.make + execute"
+(* A caller-owned engine is reset on entry, so a run on an engine that
+   already carried another scenario must equal a run on a fresh one. *)
+let engine_reuse_equivalence ~count =
+  QCheck.Test.make ~count ~name:"netsim: execute_with on a reused engine equals execute"
     (arb Gen.wild ~print:(fun s -> s.Gen.label))
     (fun sc ->
       let config =
         Sim.Netsim.Config.(default |> with_horizon 2e-3)
       in
-      let via_wrapper =
-        Sim.Netsim.run ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix
+      let spec =
+        Sim.Netsim.Run.make ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix
       in
-      let via_spec =
-        Sim.Netsim.execute
-          (Sim.Netsim.Run.make ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix)
-      in
+      let engine = Sim.Engine.create () in
+      ignore (Sim.Netsim.execute_with ~engine spec);
       let json m =
         Sim.Telemetry.Json.to_string (Sim.Netsim.measurement_to_json m)
       in
-      json via_wrapper = json via_spec
-      || QCheck.Test.fail_reportf "wrapper and spec measurements diverge")
+      json (Sim.Netsim.execute_with ~engine spec) = json (Sim.Netsim.execute spec)
+      || QCheck.Test.fail_reportf "reused-engine and fresh measurements diverge")
 
 (* ---- invariant conformance ------------------------------------------- *)
 
@@ -257,7 +257,7 @@ let invariants_hold_everywhere ~count =
       let plain =
         Sim.Netsim.execute
           (Sim.Netsim.Run.with_config spec
-             { config with check_invariants = false })
+             (Sim.Netsim.Config.with_invariants false config))
       in
       let json m =
         Sim.Telemetry.Json.to_string (Sim.Netsim.measurement_to_json m)
@@ -440,7 +440,8 @@ let mix_identical_classes_collapse ~count =
         Sim.Telemetry.Json.to_string
           (strip_per_class
              (Sim.Netsim.measurement_to_json
-                (Sim.Netsim.run ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix)))
+                (Sim.Netsim.execute
+                   (Sim.Netsim.Run.make ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix))))
       in
       (json [ (merged, 1.) ] = json split
       || QCheck.Test.fail_reportf "split mix changed the measurement JSON")
@@ -539,8 +540,9 @@ let mix_low_load_latency ~count =
           sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix
       in
       let m =
-        Sim.Netsim.run ~config:low_load_config sc.Gen.graph ~hw:sc.Gen.hw
-          ~mix:sc.Gen.mix
+        Sim.Netsim.execute
+          (Sim.Netsim.Run.make ~config:low_load_config sc.Gen.graph
+             ~hw:sc.Gen.hw ~mix:sc.Gen.mix)
       in
       let per_class = m.Sim.Netsim.summary.Sim.Telemetry.per_class in
       List.for_all2
@@ -641,7 +643,7 @@ let tenant_wrr_fairness ~count =
         Sim.Netsim.Config.(
           default |> with_horizon ~warmup:1e-3 2e-2 |> with_tenants tset)
       in
-      let m = Sim.Netsim.run_single ~config graph ~hw ~traffic in
+      let m = Sim.Netsim.execute (Sim.Netsim.Run.single ~config graph ~hw ~traffic) in
       match m.Sim.Netsim.tenants with
       | None -> QCheck.Test.fail_reportf "tenanted run reported no tenant stats"
       | Some stats ->
@@ -1083,7 +1085,7 @@ let suite ?(scale = 1.) () =
     jobs_bit_identical ~count:(n 6);
     littles_law_vs_sim ~count:(n 6);
     mm1n_vs_sim_sojourn ~count:(n 6);
-    run_wrapper_equivalence ~count:(n 10);
+    engine_reuse_equivalence ~count:(n 10);
     invariants_hold_everywhere ~count:(n 20);
     routing_residual_mass ~count:(n 20);
     calendar_matches_heap ~count:(n 500);

@@ -47,7 +47,7 @@ val run :
   report
 (** Without [?contention] the report still joins model and simulation
     per class and entity (all slowdowns 1, empty interference ranking)
-    — and runs the {e identical} simulation a plain {!Netsim.run} with
+    — and runs the {e identical} simulation a plain {!Netsim.execute} with
     the same config would, a property the bench gate asserts. Raises
     [Invalid_argument] like {!Explain.run_mix}, plus the contention
     validation of {!Lognic.Extensions.mixed_traffic}. *)

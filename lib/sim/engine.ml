@@ -98,6 +98,20 @@ let pending t = Event_queue.size t.queue
 let executed t = t.executed
 let queue_resizes t = Event_queue.resizes t.queue
 
+(* Tick times are multiples of [interval], computed multiplicatively so
+   accumulated rounding never drops the final tick; an interval beyond
+   [until] still owes the caller one tick at [until] (events at exactly
+   the horizon fire, so the end-of-run state is observable). *)
+let every t ~interval ~until f =
+  let time_of i = float_of_int i *. interval in
+  let rec tick i =
+    f (time_of i);
+    let next = time_of (i + 1) in
+    if next <= until then schedule t ~at:next (fun () -> tick (i + 1))
+  in
+  if interval <= until then schedule t ~at:interval (fun () -> tick 1)
+  else schedule t ~at:until (fun () -> f until)
+
 let reset t =
   Event_queue.clear t.queue;
   t.clock.(0) <- 0.;

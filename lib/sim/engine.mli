@@ -15,6 +15,12 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
 val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 (** Convenience for [schedule ~at:(now t +. delay)]; [delay >= 0]. *)
 
+val every : t -> interval:float -> until:float -> (float -> unit) -> unit
+(** [every t ~interval ~until f] calls [f time] at each multiple of
+    [interval] up to [until] (or once at [until] when [interval]
+    exceeds it) — the one periodic scheduler behind series sampling and
+    metrics ticks. *)
+
 val run :
   ?until:float -> ?observer:(float -> unit) -> ?profile:Profile.t -> t -> unit
 (** Processes events in order until the queue empties or virtual time

@@ -50,18 +50,18 @@ let series_mean series label =
     Some (Lognic_numerics.Stats.mean (Array.map snd samples))
   | _ -> None
 
+(* The join needs sampled queue depths; default the probe interval to a
+   fine grid when the caller didn't pick one. *)
+let sampled_config config =
+  let config = Option.value config ~default:Netsim.Config.default in
+  match config.Netsim.sample_interval with
+  | Some _ -> config
+  | None -> Netsim.Config.with_sampling (config.duration /. 256.) config
+
 let run ?config ?queue_model g ~hw ~traffic =
   let model = Lognic.Estimate.run ?queue_model g ~hw ~traffic in
-  let config = Option.value config ~default:Netsim.default_config in
-  (* The join needs sampled queue depths; default the probe interval to
-     a fine grid when the caller didn't pick one. *)
-  let config =
-    match config.Netsim.sample_interval with
-    | Some _ -> config
-    | None ->
-      { config with Netsim.sample_interval = Some (config.duration /. 256.) }
-  in
-  let measurement = Netsim.run_single ~config g ~hw ~traffic in
+  let config = sampled_config config in
+  let measurement = Netsim.(execute (Run.single ~config g ~hw ~traffic)) in
   let tp = model.Lognic.Estimate.throughput in
   let lat = model.Lognic.Estimate.latency in
   let attained = tp.Lognic.Throughput.attained in
@@ -288,14 +288,8 @@ type mix_report = {
 
 let run_mix ?config ?queue_model ?contention g ~hw ~mix =
   let model = Lognic.Estimate.run_mix ?queue_model ?contention g ~hw ~mix in
-  let config = Option.value config ~default:Netsim.default_config in
-  let config =
-    match config.Netsim.sample_interval with
-    | Some _ -> config
-    | None ->
-      { config with Netsim.sample_interval = Some (config.duration /. 256.) }
-  in
-  let measurement = Netsim.run ~config g ~hw ~mix in
+  let config = sampled_config config in
+  let measurement = Netsim.execute (Netsim.Run.make ~config g ~hw ~mix) in
   let summary = measurement.Netsim.summary in
   let window = summary.Telemetry.window in
   let classes = model.Lognic.Extensions.classes in
@@ -606,9 +600,11 @@ type tenant_report = {
 
 let run_tenants ?config ?queue_model g ~hw ~traffic ~tenants =
   let model = Lognic.Estimate.run ?queue_model g ~hw ~traffic in
-  let config = Option.value config ~default:Netsim.default_config in
-  let config = { config with Netsim.tenants = Some tenants } in
-  let measurement = Netsim.run_single ~config g ~hw ~traffic in
+  let config =
+    Netsim.Config.with_tenants tenants
+      (Option.value config ~default:Netsim.Config.default)
+  in
+  let measurement = Netsim.(execute (Run.single ~config g ~hw ~traffic)) in
   let stats =
     match measurement.Netsim.tenants with
     | Some s -> s
@@ -847,15 +843,17 @@ let run_flowcache ?config ?queue_model spec g ~hw ~traffic =
   let model =
     Lognic.Estimate.run_flowcache ?queue_model spec g ~hw ~traffic
   in
-  let config = Option.value config ~default:Netsim.default_config in
-  let config = { config with Netsim.flow_cache = Some spec } in
+  let config =
+    Netsim.Config.with_flow_cache spec
+      (Option.value config ~default:Netsim.Config.default)
+  in
   (* Simulate the *converged* graph: per-packet routing at the cache
      vertices comes from actual lookups either way, but the δs feed the
      reach probabilities that scale per-packet medium bytes, so media
      loads line up with the model's fixed point rather than whatever
      splits the input graph carried. *)
   let measurement =
-    Netsim.run_single ~config model.Lognic.Flowcache.graph ~hw ~traffic
+    Netsim.(execute (Run.single ~config model.Lognic.Flowcache.graph ~hw ~traffic))
   in
   let stats =
     match measurement.Netsim.flow_cache with

@@ -82,3 +82,53 @@ val modifiers :
     of each interval folded into one composed modifier. *)
 
 val pp : Format.formatter -> plan -> unit
+
+(** {1 Realization inside a simulation run} *)
+
+(** Per-sub-interval accounting of a faulted run: the run horizon cut at
+    every fault boundary and refined with a uniform duration/64 grid.
+    Packets are attributed to the sub-interval of their {e birth} time,
+    whole-run (not warmup-windowed) — the point is to see the timeline,
+    including the transient. *)
+type interval_stats = {
+  i_start : float;
+  i_stop : float;
+  i_faults : string list;
+      (** active {!fault_label}s; [[]] on healthy stretches *)
+  i_offered : int;
+  i_delivered : int;
+  i_dropped : int;
+  i_throughput : float;  (** delivered bytes / sub-interval length *)
+  i_latency : float;
+      (** mean delivered latency (0 when nothing was delivered) *)
+}
+
+(** Per-run recovery summary, derived from the interval rows. *)
+type resilience = {
+  recovery_time : float option;
+      (** seconds from the last fault clearing until the first
+          sub-interval whose throughput regains ≥ 90% of the healthy
+          baseline (the time-weighted throughput of pre-fault healthy
+          sub-intervals); [None] when faults extend to the horizon, the
+          run never recovers, or no healthy baseline exists *)
+  worst_throughput : float;  (** lowest faulted sub-interval throughput *)
+  worst_start : float;  (** where that sub-interval starts *)
+}
+
+val install :
+  Nic.t ->
+  plan ->
+  rng:Lognic_numerics.Rng.t ->
+  duration:float ->
+  (unit -> interval_stats list * resilience option) * Nic.hooks
+(** Splits the fault rng from [rng], validates every target against the
+    compiled NIC (raising [Invalid_argument] on an unknown or
+    infinite-throughput vertex or an unknown medium), schedules each
+    apply/revert, and returns the birth-bin hooks plus the ingress
+    admission that sheds packets during a {!Drop_burst} (the only draw
+    from the fault rng). The finisher yields the interval rows,
+    chronological and tiling [\[0, duration)], and the resilience
+    summary (present iff some fault was active). *)
+
+val interval_to_json : interval_stats -> Telemetry.Json.t
+val resilience_to_json : resilience -> Telemetry.Json.t

@@ -305,6 +305,76 @@ type stats = {
   fc_classes : class_row array;  (** hot, warm, cold *)
 }
 
+let install (nic : Nic.t) spec ~rng ~warmup =
+  let t = create ~spec ~warmup in
+  (* Split after the tenant rng and before the trace rng. *)
+  let frng = Lognic_numerics.Rng.split rng in
+  (* Role of each vertex under state-dependent routing: 1 = EMC,
+     2 = megaflow, 0 = ordinary delta-proportional routing. Cache
+     vertices are resolved by label and must offer exactly the
+     hit/miss out-edge pair (first out-edge added = hit route). *)
+  let roles = Array.make (Array.length nic.vertices) 0 in
+  let resolve role label =
+    let vertices = Lognic.Graph.vertices nic.graph in
+    match List.find_opt (fun (v : Lognic.Graph.vertex) -> v.label = label) vertices with
+    | None ->
+      invalid_arg (Printf.sprintf "Netsim.execute: flow cache needs a vertex %S" label)
+    | Some v ->
+      let outs = List.length (Lognic.Graph.out_edges nic.graph v.id) in
+      if outs <> 2 then
+        invalid_arg
+          (Printf.sprintf
+             "Netsim.execute: flow-cache vertex %S needs exactly 2 out-edges \
+              (hit, miss), has %d"
+             label outs);
+      roles.(v.id) <- role
+  in
+  resolve 1 spec.FC.emc_label;
+  resolve 2 spec.FC.megaflow_label;
+  let hooks =
+    {
+      Nic.no_hooks with
+      (* One bits draw through the Zipf alias table, only for packets
+         admitted at ingress, so burst-shed arrivals consume nothing from
+         the flow rng. A packet that never reaches a cache vertex keeps
+         class -1 (unclassified) and is skipped by the accumulator. *)
+      admit =
+        Some
+          (fun fl ->
+            fl.fl_flow <- draw t ~bits:(Lognic_numerics.Rng.bits frng);
+            fl.fl_fclass <- -1;
+            true);
+      (* State-dependent split: the route out of a cache vertex is
+         decided by an actual lookup on this packet's flow, not by the
+         static deltas (hit = first out-edge, miss = second). The route
+         rng is not consumed here, so its stream stays aligned across
+         runs that only differ in cache geometry. *)
+      route =
+        Some
+          (fun fl ->
+            let role = roles.(fl.fl_vertex) in
+            role <> 0
+            &&
+            let now = Engine.now nic.engine in
+            let hit =
+              if role = 1 then begin
+                let h = emc_lookup t ~now ~flow:fl.fl_flow in
+                if h then fl.fl_fclass <- 0;
+                h
+              end
+              else begin
+                let h = mega_lookup t ~now ~flow:fl.fl_flow in
+                fl.fl_fclass <- (if h then 1 else 2);
+                h
+              end
+            in
+            fl.fl_edge <- nic.vertices.(fl.fl_vertex).v_out.(if hit then 0 else 1);
+            true);
+      deliver = Some (fun fl -> record_completion t ~klass:fl.fl_fclass ~fs:fl.fs);
+    }
+  in
+  (t, hooks)
+
 let summarize t ~horizon =
   let window = Float.max 0. (horizon -. t.fc_warmup) in
   let total = Array.fold_left ( + ) 0 t.c_delivered in

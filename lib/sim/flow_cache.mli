@@ -47,11 +47,19 @@ val mega_lookup : t -> now:float -> flow:int -> bool
     the flow into the EMC; a miss installs it in both tables — the
     slow-path classification's rule insertion. *)
 
-val record_completion : t -> klass:int -> fs:float array -> unit
-(** Attribute a delivered packet to its class ([0..2]; negative =
-    unclassified, ignored). [fs] is the flight's
-    {!Telemetry.flight_slots} scratch array at egress; windowed by the
-    packet's birth time, mirroring {!Telemetry}. *)
+val install :
+  Nic.t ->
+  Lognic.Flowcache.spec ->
+  rng:Lognic_numerics.Rng.t ->
+  warmup:float ->
+  t * Nic.hooks
+(** {!create}s the state, splits the flow rng from [rng], and routes out
+    of the vertices labelled [spec.emc_label] / [spec.megaflow_label] by
+    an actual lookup on each admitted packet's {!draw}n flow — hit takes
+    the first out-edge, miss the second. Deliveries are attributed to
+    their hot/warm/cold class, windowed by birth time like {!Telemetry}.
+    Raises [Invalid_argument] unless both cache vertices exist with
+    exactly two out-edges. *)
 
 (** {2 Summaries} *)
 

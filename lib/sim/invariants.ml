@@ -227,3 +227,101 @@ let report_to_json r =
       ("violations", J.Num (float_of_int r.total_violations));
       ("recorded", J.Arr (List.map violation_to_json r.violations));
     ]
+
+let install (nic : Nic.t) ~faulted =
+  let inv = create () in
+  let engine = nic.engine in
+  let hooks =
+    {
+      Nic.no_hooks with
+      arrival =
+        Some
+          (fun fl ->
+            packet_injected inv ~id:fl.fl_id ~time:fl.fs.(Telemetry.slot_born));
+      (* Post-admission state bounds. Both hold at every instant, so
+         checking after a [submit] that ran the downstream walk
+         synchronously is still sound. *)
+      node_admitted =
+        Some
+          (fun vr node ->
+            let time = Engine.now engine in
+            check_bound inv ~law:"queue-capacity" ~entity:vr.v_label ~time
+              ~limit:vr.v_cap_limit
+              ~actual:(float_of_int (Ip_node.in_system node))
+              "in-system requests must not exceed the queue capacity";
+            check_bound inv ~law:"engine-count" ~entity:vr.v_label ~time
+              ~limit:(float_of_int (Ip_node.engines node))
+              ~actual:(float_of_int (Ip_node.busy_engines node))
+              "busy engines must not exceed the configured engine count");
+      (* Media admission: right after a successful transfer the backlog
+         must still fit the buffer. Skipped on faulted runs: a bandwidth
+         restore mid-backlog legitimately re-values the queued bytes at
+         the healthy rate, which can exceed the byte limit the degraded
+         admission enforced. *)
+      medium_admitted =
+        (if faulted then None
+         else
+           Some
+             (fun m ->
+               check_bound inv ~law:"medium-buffer" ~entity:(Medium.label m)
+                 ~time:(Engine.now engine) ~limit:(Medium.buffer m)
+                 ~actual:(Medium.backlog m)
+                 "admitted backlog must fit the rate-matching buffer"));
+      deliver =
+        Some
+          (fun fl ->
+            let now = Engine.now engine and fs = fl.fs in
+            packet_delivered inv ~id:fl.fl_id ~time:now;
+            (* Eq. 2 tiling: the four tallied components must account for
+               this packet's entire end-to-end latency. Each hop adds its
+               pieces from the same event times that advance the clock,
+               so only float rounding separates the two sides. *)
+            check_close inv ~law:"latency-tiling" ~entity:(packet_entity fl.fl_id)
+              ~time:now
+              ~tol:1e-9 ~expected:(now -. fs.(Telemetry.slot_born))
+              ~actual:
+                (fs.(Telemetry.slot_queueing) +. fs.(Telemetry.slot_service)
+                +. fs.(Telemetry.slot_wire) +. fs.(Telemetry.slot_overhead))
+              "queueing + service + wire + overhead must equal birth-to-egress time");
+      drop = Some (fun fl _ -> packet_dropped inv ~id:fl.fl_id ~time:(Engine.now engine));
+    }
+  in
+  (inv, hooks)
+
+let finish inv (nic : Nic.t) ~horizon ~generated ~birth_bins summary =
+  (* End-of-run entity laws: horizon-clipped utilization and busy time
+     for every node and medium. *)
+  List.iter
+    (fun ((v : Lognic.Graph.vertex), node) ->
+      let busy = Ip_node.busy_within node ~until:horizon in
+      check_bound inv ~law:"utilization" ~entity:v.label ~time:horizon ~limit:1.
+        ~actual:(Ip_node.utilization node ~until:horizon)
+        "node utilization must not exceed 1 at the horizon";
+      check_bound inv ~law:"busy-time" ~entity:v.label ~time:horizon
+        ~limit:(float_of_int (Ip_node.engines node) *. horizon)
+        ~actual:busy "engine-busy seconds must fit engines times the horizon";
+      check_nonneg inv ~law:"busy-time" ~entity:v.label ~time:horizon ~actual:busy
+        "horizon-clipped busy time cannot be negative")
+    nic.nodes;
+  List.iter
+    (fun m ->
+      let busy = Medium.busy_within m ~until:horizon and entity = Medium.label m in
+      check_bound inv ~law:"utilization" ~entity ~time:horizon ~limit:1.
+        ~actual:(Medium.utilization m ~until:horizon)
+        "medium utilization must not exceed 1 at the horizon";
+      check_bound inv ~law:"busy-time" ~entity ~time:horizon ~limit:horizon ~actual:busy
+        "medium-busy seconds must fit the horizon";
+      check_nonneg inv ~law:"busy-time" ~entity ~time:horizon ~actual:busy
+        "horizon-clipped busy time cannot be negative")
+    nic.media;
+  check_conservation inv ~time:horizon ~generated;
+  (* Fault interval accounting attributes every packet to its birth
+     bin, so no bin can resolve more packets than were offered in it. *)
+  List.iteri
+    (fun i (offered, resolved) ->
+      check_bound inv ~law:"interval-accounting" ~entity:(Printf.sprintf "interval-%d" i)
+        ~time:horizon ~limit:(float_of_int offered) ~actual:(float_of_int resolved)
+        "a birth bin cannot resolve more packets than it offered")
+    birth_bins;
+  check_summary inv ~horizon summary;
+  report inv

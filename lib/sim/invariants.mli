@@ -127,6 +127,27 @@ val check_summary : t -> horizon:float -> Telemetry.summary -> unit
     the window fits the horizon, and (when anything was delivered)
     p50 ≤ p99 ≤ max and mean ≤ max. *)
 
+(** {1 Simulator hooks} *)
+
+val install : Nic.t -> faulted:bool -> t * Nic.hooks
+(** A fresh checker plus its packet-walk hooks: packet fates, Eq. 2
+    latency tiling at egress, and queue / engine / medium-buffer bounds
+    right after each admission (the medium-buffer law is skipped when
+    [faulted]: a bandwidth restore mid-backlog legitimately re-values
+    the queued bytes). Feed {!observe_event_time} to the engine. *)
+
+val finish :
+  t ->
+  Nic.t ->
+  horizon:float ->
+  generated:int ->
+  birth_bins:(int * int) list ->
+  Telemetry.summary ->
+  report
+(** The end-of-run laws — per-node and per-medium utilization and busy
+    time, {!check_conservation}, each fault birth bin's
+    [(offered, resolved)] bound, {!check_summary} — then {!report}. *)
+
 (** {1 Reporting} *)
 
 val report : t -> report

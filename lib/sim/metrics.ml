@@ -722,3 +722,71 @@ let to_openmetrics t =
     !families;
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
+
+(* The registry is built entirely from read-only probes over state the
+   simulator already maintains, splits no rng stream, and its ticks are
+   extra scheduled events — which shift absolute event sequence numbers
+   but never the relative pop order of packet events (the same argument
+   as the series sampler). Enabling metrics therefore never changes
+   simulation results or measurement JSON (gated by bench/main.exe
+   --metrics-overhead). Instruments register in deterministic order: the
+   run entity, drop sites in interning order, nodes in graph order,
+   media in report order, then the caller's [gauges] — registered last
+   so runs without them keep their historical instrument order (and
+   NDJSON fixtures). *)
+let install cfg (nic : Nic.t) ~until ~warmup ~gauges =
+  let m = create cfg in
+  let tel = nic.telemetry and engine = nic.engine in
+  let counter entity name probe = register m ~entity ~name Counter probe in
+  counter "run" "offered" (fun () -> float_of_int (Telemetry.offered tel));
+  counter "run" "delivered" (fun () -> float_of_int (Telemetry.delivered tel));
+  counter "run" "dropped" (fun () -> float_of_int (Telemetry.dropped tel));
+  counter "run" "delivered_bytes" (fun () -> Telemetry.delivered_bytes tel);
+  (* The latency histogram is the one hot-path instrument; its observe
+     is allocation-free and windowed like the summary. Each tick
+     synthesizes latency_p50 / latency_p99 for SLO rules. *)
+  let hist = histogram m ~entity:"run" ~name:"latency" () in
+  List.iter
+    (fun c ->
+      counter
+        (Telemetry.drop_site_name (Telemetry.counter_site c))
+        "drops"
+        (fun () -> float_of_int (Telemetry.counter_hits c)))
+    (Telemetry.counters tel);
+  List.iter
+    (fun ((v : Lognic.Graph.vertex), node) ->
+      let entity = v.label in
+      counter entity "completions" (fun () -> float_of_int (Ip_node.completions node));
+      counter entity "drops" (fun () -> float_of_int (Ip_node.drops node));
+      register m ~entity ~name:"queue_depth" Gauge (fun () ->
+          float_of_int (Ip_node.in_system node));
+      register m ~entity ~name:"busy_engines" Gauge (fun () ->
+          float_of_int (Ip_node.busy_engines node));
+      let nameplate = float_of_int (Ip_node.engines node) in
+      (* cumulative busy-engine seconds over the nameplate count: as a
+         [Rate], delta/interval is the interval utilization *)
+      register m ~entity ~name:"utilization" Rate (fun () ->
+          Ip_node.busy_within node ~until:(Engine.now engine) /. nameplate))
+    nic.nodes;
+  List.iter
+    (fun md ->
+      let entity = Medium.label md in
+      counter entity "transfers" (fun () -> float_of_int (Medium.transfers md));
+      counter entity "rejections" (fun () -> float_of_int (Medium.rejections md));
+      register m ~entity ~name:"backlog_bytes" Gauge (fun () -> Medium.backlog md);
+      register m ~entity ~name:"utilization" Rate (fun () ->
+          Medium.busy_within md ~until:(Engine.now engine)))
+    nic.media;
+  List.iter (fun (entity, name, probe) -> register m ~entity ~name Gauge probe) gauges;
+  (* The optional self-profiler reads only the host's wall clock. *)
+  (match profiler m with
+  | Some _ as p ->
+    List.iter (fun (_, node) -> Ip_node.set_profile node p) nic.nodes;
+    List.iter (fun md -> Medium.set_profile md p) nic.media
+  | None -> ());
+  Engine.every engine ~interval:cfg.interval ~until (fun now -> ignore (tick m ~now));
+  let deliver (fl : Nic.flight) =
+    if fl.fs.(Telemetry.slot_born) >= warmup then
+      observe_span hist fl.fs ~from_slot:Telemetry.slot_born ~to_slot:Telemetry.slot_now
+  in
+  (m, { Nic.no_hooks with deliver = Some deliver })

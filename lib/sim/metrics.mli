@@ -163,6 +163,20 @@ val alerts : t -> alert list
 val profiler : t -> Profile.t option
 (** The self-profiler owned by this instance when [config.profile]. *)
 
+val install :
+  config ->
+  Nic.t ->
+  until:float ->
+  warmup:float ->
+  gauges:(string * string * (unit -> float)) list ->
+  t * Nic.hooks
+(** A live registry over a compiled NIC: run counters, a warmup-windowed
+    latency histogram fed at delivery, per-drop-site / per-node /
+    per-medium instruments, then [gauges] as [(entity, name, probe)]; a
+    tick at every multiple of [interval] up to [until]
+    ({!Engine.every}); the self-profiler attached to every node and
+    medium when [config.profile]. *)
+
 (** {2 Exports} *)
 
 val snapshot_to_json : snapshot -> Telemetry.Json.t

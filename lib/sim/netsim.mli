@@ -21,14 +21,15 @@
     (the Eq. 2 terms), and [sample_interval] turns on periodic
     queue-depth / in-flight / backlog traces ({!Telemetry.Series}).
 
-    {b Entry points.} {!Run.t} is the single run spec — graph, hardware,
-    traffic mix, config, and fault plan in one record — executed by
-    {!execute} / {!execute_replicated}. The historical entry points
-    ({!run}, {!run_single}, {!run_replicated}) remain as thin wrappers
-    over an empty-fault spec and produce byte-identical measurements;
-    prefer the spec API in new code, it is where future knobs land. *)
+    {b Entry points.} {!Run.t} is the one run spec — graph, hardware,
+    traffic mix, config, and fault plan in one record — built with
+    {!Run.make}/{!Run.single} and executed by {!execute} /
+    {!execute_with} / {!execute_replicated}; {!config} values are built
+    only through {!Config}. Each run compiles the graph into a {!Nic.t},
+    installs the enabled features' {!Nic.hooks}, and drives
+    {!Nic.walk}. *)
 
-type config = {
+type config = private {
   seed : int;
   duration : float;  (** simulated seconds (default 0.1) *)
   warmup : float;  (** discarded prefix (default 10% of duration) *)
@@ -95,18 +96,16 @@ type config = {
           [Invalid_argument]. Default [None]. *)
 }
 
-val default_config : config
-
-(** The supported way to assemble a {!config}: start from
-    {!Config.default} and chain setters, e.g.
-    [Config.(default |> with_horizon 0.5 |> with_seed 7)]. The record
-    stays public for existing literal-update code, but new knobs land
-    here. Setters take the config {e last} so they pipeline. *)
+(** The one way to assemble a {!config}: start from {!Config.default}
+    and chain setters, e.g.
+    [Config.(default |> with_horizon 0.5 |> with_seed 7)]. Setters take
+    the config {e last} so they pipeline. *)
 module Config : sig
   type t = config
 
   val default : t
-  (** = {!default_config}. *)
+  (** seed 1, a 0.1 s horizon with 0.01 s warmup, exponential service,
+      Poisson arrivals, every optional feature off. *)
 
   val with_seed : int -> t -> t
   val with_duration : float -> t -> t
@@ -125,6 +124,7 @@ module Config : sig
       [capacity] overrides [series_capacity] (default keeps it). *)
 
   val with_trace : Trace.config -> t -> t
+  val without_trace : t -> t
   val with_invariants : bool -> t -> t
   val with_metrics : Metrics.config -> t -> t
   val with_tenants : Tenant.set -> t -> t
@@ -153,7 +153,7 @@ module Run : sig
     hw:Lognic.Params.hardware ->
     mix:Lognic.Traffic.mix ->
     t
-  (** [config] defaults to {!default_config}, [faults] to
+  (** [config] defaults to {!Config.default}, [faults] to
       {!Faults.empty}. *)
 
   val single :
@@ -167,12 +167,6 @@ module Run : sig
 
   val with_config : t -> config -> t
   val with_faults : t -> Faults.plan -> t
-  val with_mix : t -> Lognic.Traffic.mix -> t
-  val with_hw : t -> Lognic.Params.hardware -> t
-  val with_seed : t -> int -> t
-  val with_duration : t -> float -> t
-  val with_tenants : t -> Tenant.set -> t
-  val with_flow_cache : t -> Lognic.Flowcache.spec -> t
 end
 
 type vertex_stats = {
@@ -191,34 +185,24 @@ type medium_stats = {
   m_rejections : int;  (** whole-run buffer rejections *)
 }
 
-(** Per-sub-interval accounting of a faulted run: the run horizon cut at
-    every fault boundary and refined with a uniform duration/64 grid.
-    Packets are attributed to the sub-interval of their {e birth} time,
-    whole-run (not warmup-windowed) — the point is to see the timeline,
-    including the transient. *)
-type interval_stats = {
+(** Per-sub-interval accounting of a faulted run; see
+    {!Faults.interval_stats}. *)
+type interval_stats = Faults.interval_stats = {
   i_start : float;
   i_stop : float;
   i_faults : string list;
-      (** active {!Faults.fault_label}s; [[]] on healthy stretches *)
   i_offered : int;
   i_delivered : int;
   i_dropped : int;
-  i_throughput : float;  (** delivered bytes / sub-interval length *)
+  i_throughput : float;
   i_latency : float;
-      (** mean delivered latency (0 when nothing was delivered) *)
 }
 
-(** Per-run recovery summary, derived from {!measurement.fault_intervals}. *)
-type resilience = {
+(** Per-run recovery summary; see {!Faults.resilience}. *)
+type resilience = Faults.resilience = {
   recovery_time : float option;
-      (** seconds from the last fault clearing until the first
-          sub-interval whose throughput regains ≥ 90% of the healthy
-          baseline (the time-weighted throughput of pre-fault healthy
-          sub-intervals); [None] when faults extend to the horizon, the
-          run never recovers, or no healthy baseline exists *)
-  worst_throughput : float;  (** lowest faulted sub-interval throughput *)
-  worst_start : float;  (** where that sub-interval starts *)
+  worst_throughput : float;
+  worst_start : float;
 }
 
 type measurement = {
@@ -289,14 +273,16 @@ val execute_with : ?engine:Engine.t -> Run.t -> measurement
     worker its own spec precisely so it can keep [?engine] unset). *)
 
 val execute : Run.t -> measurement
-(** Run one simulation from a spec. Raises [Invalid_argument] if the
-    graph fails validation or a fault event targets an entity the
-    realized simulation does not have (unknown vertex label,
+(** Run one simulation from a spec. Raises [Invalid_argument], before
+    any setup, on a config it cannot honour — naming the field: a
+    [duration] that is not finite and > 0, a [warmup] outside
+    [\[0, duration)], a [sample_interval] that is not finite and > 0 —
+    and also if the graph fails validation or a fault event targets an
+    entity the realized simulation does not have (unknown vertex label,
     infinite-throughput vertex, unknown medium label).
 
-    {b Determinism.} With [faults = Faults.empty] the measurement is
-    byte-identical to the pre-fault-era {!run} (no fault rng is split,
-    no per-packet accounting is added — enforced by the bench gate).
+    {b Determinism.} With [faults = Faults.empty] no fault rng is split
+    and no per-packet accounting is added (enforced by the bench gate).
     With any plan, results are bit-identical at every [--jobs]: the
     fault rng is its own stream, split after the per-node rngs and
     before the tenant and trace rngs, and is drawn only while a
@@ -308,27 +294,6 @@ val execute : Run.t -> measurement
     optional stream splits only when its feature is on, so switching a
     feature off restores the exact streams of a run that never had
     it. *)
-
-val run :
-  ?config:config ->
-  Lognic.Graph.t ->
-  hw:Lognic.Params.hardware ->
-  mix:Lognic.Traffic.mix ->
-  measurement
-(** Pre-spec entry point, kept for compatibility: exactly
-    [execute (Run.make ~config g ~hw ~mix)] (empty fault plan). Prefer
-    {!Run.make} + {!execute} in new code. *)
-
-val run_single :
-  ?config:config ->
-  Lognic.Graph.t ->
-  hw:Lognic.Params.hardware ->
-  traffic:Lognic.Traffic.t ->
-  measurement
-(** Single-class convenience wrapper over {!run}; prefer {!Run.single} +
-    {!execute} in new code. *)
-
-val resilience_to_json : resilience -> Telemetry.Json.t
 
 val measurement_to_json : measurement -> Telemetry.Json.t
 (** The full measurement — summary, per-entity stats, drop sites,
@@ -372,33 +337,13 @@ val execute_replicated : ?runs:int -> Run.t -> replicated
     standard deviations, per-entity means, and (for faulted specs)
     recovery statistics. Raises [Invalid_argument] when [runs < 2]. *)
 
-val run_replicated :
-  ?config:config ->
-  ?runs:int ->
-  Lognic.Graph.t ->
-  hw:Lognic.Params.hardware ->
-  mix:Lognic.Traffic.mix ->
-  replicated
-(** Pre-spec entry point, kept for compatibility: exactly
-    [execute_replicated ~runs (Run.make ~config g ~hw ~mix)]. *)
-
-val replication_configs : config -> int -> config list
-(** The per-replication configs (seeds [config.seed + i] for
-    [i < runs]), exposed so alternative execution strategies
-    ({!Parallel.run_replicated}) derive identical seeds. Raises
-    [Invalid_argument] when [runs < 2]. *)
-
 val replication_specs : Run.t -> int -> Run.t list
-(** {!replication_configs} lifted to specs: the same spec with each
-    derived config. Raises [Invalid_argument] when [runs < 2]. *)
+(** The same spec with derived seeds [config.seed + i] for [i < runs],
+    shared with {!Parallel.execute_replicated} so both paths derive
+    identical seeds. Raises [Invalid_argument] when [runs < 2]. *)
 
 val replicated_of_measurements : measurement list -> replicated
 (** The fold from per-run measurements to {!replicated} statistics,
-    shared with {!Parallel.run_replicated} so both paths are
+    shared with {!Parallel.execute_replicated} so both paths are
     bit-identical. Raises [Invalid_argument] on fewer than two
     measurements. *)
-
-val replicated_of_summaries : Telemetry.summary list -> replicated
-(** Like {!replicated_of_measurements} when only summaries are at hand;
-    [entities] comes back empty and [resilience] is [None]. Raises
-    [Invalid_argument] on fewer than two summaries. *)

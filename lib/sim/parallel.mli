@@ -1,6 +1,6 @@
 (** Parallel simulation driver (OCaml 5 domains).
 
-    {!Netsim.run} is the repo's slow path — exactly the packet-level
+    {!Netsim.execute} is the repo's slow path — exactly the packet-level
     simulator the paper's pitch is measured against — and replicated
     runs, figure sweeps, and optimizer grids execute many mutually
     independent simulations. This module fans them out over the domain
@@ -28,15 +28,3 @@ val execute_replicated : ?jobs:int -> ?runs:int -> Netsim.Run.t -> Netsim.replic
     including the per-entity stats and across-run resilience), hence
     bit-identical results for the same spec at any [jobs] — fault plans
     included. Raises [Invalid_argument] when [runs < 2]. *)
-
-val run_replicated :
-  ?jobs:int ->
-  ?config:Netsim.config ->
-  ?runs:int ->
-  Lognic.Graph.t ->
-  hw:Lognic.Params.hardware ->
-  mix:Lognic.Traffic.mix ->
-  Netsim.replicated
-(** Pre-spec entry point, kept for compatibility: exactly
-    [execute_replicated ~runs (Netsim.Run.make ~config g ~hw ~mix)]
-    (empty fault plan). Prefer {!execute_replicated} in new code. *)

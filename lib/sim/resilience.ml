@@ -52,7 +52,7 @@ let aggregate subs =
   (throughput, latency, offered, delivered, dropped)
 
 let run ?config ?queue_model ?slo ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
-  let config = Option.value config ~default:Netsim.default_config in
+  let config = Option.value config ~default:Netsim.Config.default in
   let duration = config.Netsim.duration in
   let intervals = Faults.modifiers ~duration plan in
   let model = D.evaluate ?queue_model ?slo g ~hw ~traffic ~intervals in
@@ -196,7 +196,7 @@ let to_json t =
       ( "resilience",
         match t.resilience with
         | None -> J.Null
-        | Some r -> Netsim.resilience_to_json r );
+        | Some r -> Faults.resilience_to_json r );
       ( "across_runs",
         match t.across_runs with
         | None -> J.Null

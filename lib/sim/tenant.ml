@@ -425,3 +425,55 @@ let stats_to_json t =
             ("interference", J.Num t.t_fairness.interference);
           ] );
     ]
+
+(* A single tenant schedules exactly like an untenanted run — the
+   hierarchical arbiter would be a one-group ring with one weight-1
+   grant per packet — so the arbiter and the tenant rng switch on only
+   at two tenants or more. That keeps single-tenant measurement JSON
+   byte-identical to the untenanted baseline while still attributing
+   every packet to the tenant. *)
+let scheduler set ~classes =
+  if count set < 2 then Nic.Flat
+  else
+    Nic.Hierarchical
+      { group_weights = weights set; class_weights = class_weight_rows set ~classes }
+
+let install set ~rng ~warmup =
+  let a = acc set ~warmup in
+  (* Split after the fault rng and before the flow and trace rngs. *)
+  let trng = if count set < 2 then None else Some (Lognic_numerics.Rng.split rng) in
+  let hooks =
+    {
+      Nic.no_hooks with
+      (* The tenant is drawn on every arrival, before the burst-shed
+         admission, so even packets shed at ingress attribute their drop
+         to an owner — per-tenant counts sum exactly to the aggregate
+         telemetry accounts. The bits draw plus integer-lattice search
+         allocates nothing. *)
+      arrival =
+        Some
+          (fun fl ->
+            let tenant =
+              match trng with
+              | Some r -> index_of_bits set (Lognic_numerics.Rng.bits r)
+              | None -> 0
+            in
+            fl.fl_group <- tenant;
+            record_offered a ~tenant ~now:fl.fs.(Telemetry.slot_born)
+              ~size:fl.fs.(Telemetry.slot_size));
+      deliver = Some (fun fl -> record_completion a ~tenant:fl.fl_group ~fs:fl.fs);
+      drop =
+        Some
+          (fun fl _ ->
+            record_drop a ~tenant:fl.fl_group ~born:fl.fs.(Telemetry.slot_born));
+    }
+  in
+  (a, hooks)
+
+let gauges a ~engine =
+  let fairness () = live_fairness a ~horizon:(Engine.now engine) in
+  [
+    ("tenants", "maxmin_share", fun () -> (fairness ()).maxmin_ratio);
+    ("tenants", "jain", fun () -> (fairness ()).jain);
+    ("tenants", "interference", fun () -> (fairness ()).interference);
+  ]

@@ -85,23 +85,11 @@ val index_of_bits : set -> int -> int
     mispredicted branches per draw. The simulator's per-arrival path;
     allocation-free, per-tenant probabilities exact to n·2^-30. *)
 
-(** {2 Per-tenant attribution}
-
-    The accumulator mirrors {!Telemetry}'s warmup windowing exactly —
-    arrivals by their own time, drops and completions by the packet's
-    {e birth} time — so per-tenant accounts sum to the aggregate
-    telemetry counts with no seam. *)
-
 type acc
-
-val acc : set -> warmup:float -> acc
-
-val record_offered : acc -> tenant:int -> now:float -> size:float -> unit
-val record_drop : acc -> tenant:int -> born:float -> unit
-
-val record_completion : acc -> tenant:int -> fs:float array -> unit
-(** [fs] is the flight's {!Telemetry.flight_slots} scratch array at
-    egress (birth, size, completion time and the four Eq. 2 terms). *)
+(** Per-tenant attribution, mirroring {!Telemetry}'s warmup windowing
+    exactly — arrivals by their own time, drops and completions by the
+    packet's {e birth} time — so per-tenant accounts sum to the
+    aggregate telemetry counts with no seam. *)
 
 (** {2 Log₂ latency histogram}
 
@@ -174,10 +162,20 @@ type stats = {
 
 val summarize : acc -> horizon:float -> stats
 
-val live_fairness : acc -> horizon:float -> fairness
-(** The fairness indices alone, computed straight off the accumulator
-    arrays — the cheap mid-run snapshot behind the {!Metrics} gauges
-    (no per-tenant rows are built). *)
+val scheduler : set -> classes:int -> Nic.scheduler
+(** The SR-IOV arbiter (one queue group per tenant, one queue per
+    class) at two tenants or more; [Flat] for a single tenant, which
+    keeps its runs byte-identical to untenanted ones. *)
+
+val install : set -> rng:Lognic_numerics.Rng.t -> warmup:float -> acc * Nic.hooks
+(** Draws each arrival's tenant (from a tenant rng split off [rng] only
+    at two tenants or more) into the flight's queue group and attributes
+    its offered / delivered / dropped accounts. *)
+
+val gauges : acc -> engine:Engine.t -> (string * string * (unit -> float)) list
+(** Live fairness gauges [(entity, name, probe)] for {!Metrics.install},
+    computed straight off the accumulator arrays (no per-tenant rows are
+    built). *)
 
 val stats_to_json : stats -> Telemetry.Json.t
 (** Plain object ([window], [tenants], [fairness]) — embedded by

@@ -272,3 +272,74 @@ let to_chrome_json t =
     ]
 
 let to_chrome_string t = Json.to_string (to_chrome_json t)
+
+type Nic.note += Traced of record
+
+let install (nic : Nic.t) config ~rng =
+  (* The trace rng is split last — after every stream the untraced run
+     splits — so enabling tracing perturbs no other stochastic stream. *)
+  let t = create ~config ~rng:(Lognic_numerics.Rng.split rng) () in
+  let engine = nic.engine in
+  let label (fl : Nic.flight) = nic.vertices.(fl.fl_vertex).v_label in
+  (* Span sinks go only on sampled flights: an unsampled flight carries
+     [None], so the per-hop span calls in [Ip_node]/[Medium]
+     short-circuit before boxing their float arguments — with a
+     64-packet reservoir virtually every packet takes that path, which
+     is what keeps the traced-run overhead inside its 5% budget. The
+     node span fires at service start, while the flight is still parked
+     at the serving vertex, so the queue span is the interval ending now
+     and the service span the one starting now. Medium spans are
+     reported at admission: backlog wait starts now, the wire slice
+     follows it. *)
+  let sample (fl : Nic.flight) r =
+    fl.fl_note <- Traced r;
+    fl.fl_span_node <-
+      Some
+        (fun ~lane ~queued ~service ->
+          let start = Engine.now engine and entity = label fl in
+          add_span r ~entity ~lane ~phase:Queue ~start:(start -. queued) ~duration:queued;
+          add_span r ~entity ~lane ~phase:Service ~start ~duration:service);
+    fl.fl_span_medium <-
+      Some
+        (fun ~label ~queued ~wire ->
+          let now = Engine.now engine in
+          add_span r ~entity:label ~lane:0 ~phase:Queue ~start:now ~duration:queued;
+          add_span r ~entity:label ~lane:0 ~phase:Wire ~start:(now +. queued)
+            ~duration:wire);
+    fl.fl_span_overhead <-
+      Some
+        (fun () ->
+          add_span r ~entity:(label fl) ~lane:0 ~phase:Overhead ~start:(Engine.now engine)
+            ~duration:nic.vertices.(fl.fl_vertex).v_overhead)
+  in
+  let hooks =
+    {
+      Nic.no_hooks with
+      arrival =
+        Some
+          (fun fl ->
+            match
+              on_packet t ~packet:fl.fl_id ~born:fl.fs.(Telemetry.slot_born)
+                ~size:fl.fs.(Telemetry.slot_size) ~klass:fl.fl_klass
+            with
+            | Some r -> sample fl r
+            | None ->
+              fl.fl_note <- Nic.Plain;
+              fl.fl_span_node <- None;
+              fl.fl_span_medium <- None;
+              fl.fl_span_overhead <- None);
+      deliver =
+        Some
+          (fun fl ->
+            match fl.fl_note with
+            | Traced r -> deliver r ~time:(Engine.now engine)
+            | _ -> ());
+      drop =
+        Some
+          (fun fl d ->
+            match fl.fl_note with
+            | Traced r -> drop r ~site:d.d_name ~time:(Engine.now engine)
+            | _ -> ());
+    }
+  in
+  (t, hooks)

@@ -58,35 +58,10 @@ type record = {
 
 type t
 
-val create : ?config:config -> rng:Lognic_numerics.Rng.t -> unit -> t
-(** Raises [Invalid_argument] on a reservoir capacity < 1. The [rng]
-    must be dedicated to the trace (split from the run seed) so that
-    enabling tracing perturbs no other stochastic stream. *)
-
 val capacity : t -> int
 
 val seen : t -> int
 (** Packets offered to the reservoir so far. *)
-
-val on_packet :
-  t -> packet:int -> born:float -> size:float -> klass:int -> record option
-(** Reservoir admission for a freshly generated packet: [Some record]
-    if the packet is (currently) sampled — record spans into it — or
-    [None] if it lost the draw. Call exactly once per packet, in
-    generation order. *)
-
-val add_span :
-  record ->
-  entity:string ->
-  lane:int ->
-  phase:phase ->
-  start:float ->
-  duration:float ->
-  unit
-(** Zero-duration spans are discarded. *)
-
-val deliver : record -> time:float -> unit
-val drop : record -> site:string -> time:float -> unit
 
 val records : t -> record list
 (** Records still held by the reservoir, in packet-id order. *)
@@ -109,3 +84,10 @@ val to_chrome_json : t -> Telemetry.Json.t
     whose rows are engine lanes carrying service / wire slices. *)
 
 val to_chrome_string : t -> string
+
+val install : Nic.t -> config -> rng:Lognic_numerics.Rng.t -> t * Nic.hooks
+(** Splits the trace rng from [rng] (it must be the last stream split)
+    and offers every arrival to the reservoir, once and in generation
+    order; packets that win the draw record their (non-zero) spans,
+    delivery and drop fates. Raises [Invalid_argument] on a reservoir
+    capacity < 1. *)

@@ -300,10 +300,10 @@ let rate_limiter_end_to_end_in_sim () =
   in
   let traffic = T.make ~rate:(3. *. U.gbps) ~packet_size:1500. in
   let m =
-    Lognic_sim.Netsim.run_single
+    Lognic_sim.Netsim.execute (Lognic_sim.Netsim.Run.single
       ~config:
         Lognic_sim.Netsim.Config.(default |> with_horizon ~warmup:0.02 0.1)
-      g' ~hw ~traffic
+      g' ~hw ~traffic)
   in
   check_within ~pct:6. "sim goodput at the limiter's rate" (1. *. U.gbps)
     m.summary.Lognic_sim.Telemetry.throughput

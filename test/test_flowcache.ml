@@ -201,8 +201,8 @@ let missing_cache_vertex_raises () =
       default |> with_horizon 1e-4 |> with_flow_cache fc_spec)
   in
   check_raises_invalid "md5 graph has no emc vertex" (fun () ->
-      Sim.Netsim.run_single ~config g ~hw:Lognic_devices.Liquidio.hardware
-        ~traffic:(Lognic.Traffic.make ~rate:1e9 ~packet_size:512.))
+      Sim.Netsim.execute (Sim.Netsim.Run.single ~config g ~hw:Lognic_devices.Liquidio.hardware
+        ~traffic:(Lognic.Traffic.make ~rate:1e9 ~packet_size:512.)))
 
 let suite =
   [

@@ -124,7 +124,7 @@ let event_monotonicity () =
 (* --- summary self-consistency: corrupted telemetry must FAIL --- *)
 
 let clean_summary () =
-  let m = S.Netsim.run_single ~config:(config false) (pipeline ()) ~hw ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single ~config:(config false) (pipeline ()) ~hw ~traffic) in
   (m.S.Netsim.summary, (config false).S.Netsim.duration)
 
 let corrupt_summary_is_caught () =
@@ -156,7 +156,7 @@ let corrupt_summary_is_caught () =
 (* --- Netsim wiring --- *)
 
 let netsim_clean_run_has_report () =
-  let m = S.Netsim.run_single ~config:(config true) (pipeline ()) ~hw ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single ~config:(config true) (pipeline ()) ~hw ~traffic) in
   match m.S.Netsim.invariants with
   | None -> Alcotest.fail "check_invariants=true must attach a report"
   | Some r ->
@@ -165,7 +165,7 @@ let netsim_clean_run_has_report () =
     Alcotest.(check bool) "ok" true (I.ok r)
 
 let netsim_disabled_run_has_none () =
-  let m = S.Netsim.run_single ~config:(config false) (pipeline ()) ~hw ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single ~config:(config false) (pipeline ()) ~hw ~traffic) in
   Alcotest.(check bool) "no report when disabled" true
     (m.S.Netsim.invariants = None)
 
@@ -173,7 +173,7 @@ let netsim_json_identical_on_off () =
   let json check =
     S.Telemetry.Json.to_string
       (S.Netsim.measurement_to_json
-         (S.Netsim.run_single ~config:(config check) (pipeline ()) ~hw ~traffic))
+         (S.Netsim.execute (S.Netsim.Run.single ~config:(config check) (pipeline ()) ~hw ~traffic)))
   in
   Alcotest.(check string) "observation-only: JSON byte-identical" (json false)
     (json true)
@@ -181,10 +181,10 @@ let netsim_json_identical_on_off () =
 let netsim_overloaded_run_is_still_lawful () =
   (* saturate the queue so drops and deep queues exercise every law *)
   let m =
-    S.Netsim.run_single ~config:(config true)
+    S.Netsim.execute (S.Netsim.Run.single ~config:(config true)
       (pipeline ~queue:4 ~ip_rate:(1. *. U.gbps) ())
       ~hw
-      ~traffic:(T.make ~rate:(8. *. U.gbps) ~packet_size:1500.)
+      ~traffic:(T.make ~rate:(8. *. U.gbps) ~packet_size:1500.))
   in
   Alcotest.(check bool) "drops happened" true
     (m.S.Netsim.summary.S.Telemetry.dropped_packets > 0);

@@ -277,7 +277,7 @@ let base_config = S.Netsim.Config.(default |> with_horizon 5e-3)
 let measurement_json config =
   J.to_string
     (S.Netsim.measurement_to_json
-       (S.Netsim.run_single ~config (pipeline ()) ~hw ~traffic))
+       (S.Netsim.execute (S.Netsim.Run.single ~config (pipeline ()) ~hw ~traffic)))
 
 let metrics_bit_identical () =
   let snaps = ref 0 in
@@ -310,8 +310,8 @@ let metrics_jobs_invariant () =
       base_config
   in
   let run jobs =
-    S.Parallel.run_replicated ~jobs ~config ~runs:3 (pipeline ()) ~hw
-      ~mix:[ (traffic, 1.) ]
+    S.Parallel.execute_replicated ~jobs ~runs:3 (S.Netsim.Run.make ~config (pipeline ()) ~hw
+      ~mix:[ (traffic, 1.) ])
   in
   let a = run 1 and b = run 4 in
   Alcotest.(check bool)
@@ -344,9 +344,9 @@ let streaming_serializer_byte_identical () =
     }
   in
   ignore
-    (S.Netsim.run_single
+    (S.Netsim.execute (S.Netsim.Run.single
        ~config:(S.Netsim.Config.with_metrics metrics base_config)
-       (pipeline ()) ~hw ~traffic);
+       (pipeline ()) ~hw ~traffic));
   Alcotest.(check bool) "checked real snapshots" true (!checked > 10);
   check_snap
     {

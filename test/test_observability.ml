@@ -38,7 +38,7 @@ let traffic = T.make ~rate:(3. *. U.gbps) ~packet_size:1500.
    critical path is chronological, contiguous, and its durations sum
    exactly to the recorded end-to-end latency. *)
 let spans_sum_to_latency () =
-  let m = S.Netsim.run_single ~config:traced_config (pipeline ()) ~hw ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single ~config:traced_config (pipeline ()) ~hw ~traffic) in
   let trace = Option.get m.S.Netsim.trace in
   let delivered =
     List.filter
@@ -77,12 +77,12 @@ let reservoir_deterministic () =
       (fun (r : S.Trace.record) -> r.packet)
       (S.Trace.records (Option.get m.S.Netsim.trace))
   in
-  let run () = S.Netsim.run_single ~config:traced_config (pipeline ()) ~hw ~traffic in
+  let run () = S.Netsim.execute (S.Netsim.Run.single ~config:traced_config (pipeline ()) ~hw ~traffic) in
   Alcotest.(check (list int)) "same seed, same reservoir" (ids (run ())) (ids (run ()));
   let other =
-    S.Netsim.run_single
-      ~config:{ traced_config with seed = 7 }
-      (pipeline ()) ~hw ~traffic
+    S.Netsim.execute (S.Netsim.Run.single
+      ~config:(S.Netsim.Config.with_seed 7 traced_config)
+      (pipeline ()) ~hw ~traffic)
   in
   Alcotest.(check bool)
     "different seed, different reservoir" true
@@ -91,11 +91,11 @@ let reservoir_deterministic () =
 (* The zero-perturbation guarantee: enabling tracing must not change a
    single measured bit — the measurement JSON is byte-identical. *)
 let disabled_trace_bit_identical () =
-  let untraced = { traced_config with trace = None } in
+  let untraced = S.Netsim.Config.without_trace traced_config in
   let dump config =
     S.Telemetry.Json.to_string
       (S.Netsim.measurement_to_json
-         (S.Netsim.run_single ~config (pipeline ()) ~hw ~traffic))
+         (S.Netsim.execute (S.Netsim.Run.single ~config (pipeline ()) ~hw ~traffic)))
   in
   Alcotest.(check string)
     "measurement JSON identical with tracing on/off" (dump untraced)
@@ -106,8 +106,8 @@ let disabled_trace_bit_identical () =
 let traced_jobs_invariant () =
   let mix = [ (traffic, 1.) ] in
   let run jobs =
-    S.Parallel.run_replicated ~jobs ~config:traced_config ~runs:3 (pipeline ())
-      ~hw ~mix
+    S.Parallel.execute_replicated ~jobs ~runs:3 (S.Netsim.Run.make ~config:traced_config (pipeline ())
+      ~hw ~mix)
   in
   let a = run 1 and b = run 4 in
   Alcotest.(check bool)
@@ -117,7 +117,7 @@ let traced_jobs_invariant () =
     && a.S.Netsim.loss_mean = b.S.Netsim.loss_mean)
 
 let chrome_json_roundtrip () =
-  let m = S.Netsim.run_single ~config:traced_config (pipeline ()) ~hw ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single ~config:traced_config (pipeline ()) ~hw ~traffic) in
   let trace = Option.get m.S.Netsim.trace in
   let text = S.Trace.to_chrome_string trace in
   match S.Telemetry.Json.of_string text with
@@ -133,7 +133,7 @@ let chrome_json_roundtrip () =
 
 (* Acceptance: explain names the same bottleneck as the analytic
    roofline, on a compute-bound and on an interface-bound graph. *)
-let explain_config = { traced_config with trace = None }
+let explain_config = S.Netsim.Config.without_trace traced_config
 
 let explain_agrees_when_vertex_bound () =
   let g = pipeline ~ip_rate:(2. *. U.gbps) () in
@@ -297,7 +297,7 @@ let series_degenerate_intervals () =
       S.Netsim.Config.(
         default |> with_horizon 0.02 |> with_sampling interval)
     in
-    S.Netsim.run_single ~config (pipeline ()) ~hw ~traffic
+    S.Netsim.execute (S.Netsim.Run.single ~config (pipeline ()) ~hw ~traffic)
   in
   check_raises_invalid "zero interval" (fun () -> ignore (run 0.));
   check_raises_invalid "negative interval" (fun () -> ignore (run (-1e-3)));
@@ -328,11 +328,11 @@ let series_degenerate_intervals () =
 let probes_read_only_under_overload () =
   let g = pipeline ~queue:4 ~ip_rate:(1. *. U.gbps) () in
   let traffic = T.make ~rate:(8. *. U.gbps) ~packet_size:1500. in
-  let overload = { traced_config with trace = None } in
+  let overload = S.Netsim.Config.without_trace traced_config in
   let dump config =
     S.Telemetry.Json.to_string
       (S.Netsim.measurement_to_json
-         (S.Netsim.run_single ~config g ~hw ~traffic))
+         (S.Netsim.execute (S.Netsim.Run.single ~config g ~hw ~traffic)))
   in
   let reads = ref 0 in
   let metrics =

@@ -56,7 +56,7 @@ let nested_map_completes () =
     (P.map ~jobs:4 inner [ 10; 20; 30; 40 ])
 
 (* The tentpole guarantee: the parallel replicated driver is a drop-in
-   for Netsim.run_replicated — same seeds, same fold, bit-identical
+   for Netsim.execute_replicated (Netsim.Run.make — same seeds), same fold, bit-identical
    floats, at any job count. *)
 
 let pipeline () =
@@ -79,17 +79,17 @@ let replicated_bit_identical () =
   let g = pipeline () in
   let mix = [ (T.make ~rate:(2. *. U.gbps) ~packet_size:1500., 1.) ] in
   let config = S.Netsim.Config.(default |> with_horizon 0.02) in
-  let sequential = S.Netsim.run_replicated ~config ~runs:4 g ~hw ~mix in
+  let sequential = S.Netsim.execute_replicated ~runs:4 (S.Netsim.Run.make ~config g ~hw ~mix) in
   List.iter
     (fun jobs ->
-      let parallel = S.Parallel.run_replicated ~jobs ~config ~runs:4 g ~hw ~mix in
+      let parallel = S.Parallel.execute_replicated ~jobs ~runs:4 (S.Netsim.Run.make ~config g ~hw ~mix) in
       Alcotest.(check bool)
         (Printf.sprintf "bit-identical at jobs:%d" jobs)
         true
         (sequential = parallel))
     [ 1; 2; 4 ];
   check_raises_invalid "needs >= 2 runs" (fun () ->
-      ignore (S.Parallel.run_replicated ~jobs:4 ~runs:1 g ~hw ~mix))
+      ignore (S.Parallel.execute_replicated ~jobs:4 ~runs:1 (S.Netsim.Run.make g ~hw ~mix)))
 
 let suite =
   [

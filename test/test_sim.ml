@@ -447,7 +447,7 @@ let pipeline ?(queue = 32) ?(ip_rate = 4. *. U.gbps) () =
 let netsim_conservation () =
   let g = pipeline () in
   let traffic = T.make ~rate:(3.9 *. U.gbps) ~packet_size:1500. in
-  let m = S.Netsim.run_single g ~hw ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single g ~hw ~traffic) in
   let s = m.summary in
   (* every offered packet is delivered, dropped, or still in flight *)
   Alcotest.(check bool)
@@ -460,7 +460,7 @@ let netsim_deterministic () =
   let g = pipeline () in
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
   let run () =
-    (S.Netsim.run_single g ~hw ~traffic).summary.S.Telemetry.mean_latency
+    (S.Netsim.execute (S.Netsim.Run.single g ~hw ~traffic)).summary.S.Telemetry.mean_latency
   in
   check_close "same seed, same result" (run ()) (run ())
 
@@ -468,9 +468,9 @@ let netsim_seed_matters () =
   let g = pipeline () in
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
   let with_seed seed =
-    (S.Netsim.run_single
+    (S.Netsim.execute (S.Netsim.Run.single
        ~config:S.Netsim.Config.(default |> with_seed seed)
-       g ~hw ~traffic)
+       g ~hw ~traffic))
       .summary.S.Telemetry.mean_latency
   in
   Alcotest.(check bool) "different seeds differ" true (with_seed 1 <> with_seed 2)
@@ -482,9 +482,9 @@ let netsim_matches_model_throughput () =
       let traffic = T.make ~rate:(load *. 4. *. U.gbps) ~packet_size:1500. in
       let model = Lognic.Latency.evaluate g ~hw ~traffic in
       let m =
-        S.Netsim.run_single
+        S.Netsim.execute (S.Netsim.Run.single
           ~config:S.Netsim.Config.(default |> with_horizon ~warmup:0.05 0.3)
-          g ~hw ~traffic
+          g ~hw ~traffic)
       in
       check_within ~pct:3.
         (Printf.sprintf "throughput at %g load" load)
@@ -498,9 +498,9 @@ let netsim_matches_model_latency () =
       let traffic = T.make ~rate:(load *. 4. *. U.gbps) ~packet_size:1500. in
       let model = Lognic.Latency.evaluate g ~hw ~traffic in
       let m =
-        S.Netsim.run_single
+        S.Netsim.execute (S.Netsim.Run.single
           ~config:S.Netsim.Config.(default |> with_horizon ~warmup:0.05 0.3)
-          g ~hw ~traffic
+          g ~hw ~traffic)
       in
       check_within ~pct:6.
         (Printf.sprintf "latency at %g load" load)
@@ -522,9 +522,9 @@ let netsim_multiengine_matches_mmcn () =
   let g = G.add_edge ~delta:1. ~src:w ~dst:e g in
   let traffic = T.make ~rate:(3.4 *. U.gbps) ~packet_size:1500. in
   let m =
-    S.Netsim.run_single
+    S.Netsim.execute (S.Netsim.Run.single
       ~config:S.Netsim.Config.(default |> with_horizon ~warmup:0.05 0.3)
-      g ~hw ~traffic
+      g ~hw ~traffic)
   in
   let mmcn = Lognic.Latency.evaluate ~model:Lognic.Latency.Mmcn_model g ~hw ~traffic in
   let mm1n = Lognic.Latency.evaluate g ~hw ~traffic in
@@ -537,7 +537,7 @@ let netsim_multiengine_matches_mmcn () =
 let netsim_drops_under_overload () =
   let g = pipeline ~queue:4 () in
   let traffic = T.make ~rate:(8. *. U.gbps) ~packet_size:1500. in
-  let m = S.Netsim.run_single g ~hw ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single g ~hw ~traffic) in
   Alcotest.(check bool) "loss observed" true (m.summary.S.Telemetry.loss_rate > 0.2);
   let model = Lognic.Latency.evaluate g ~hw ~traffic in
   check_within ~pct:6. "goodput matches blocking model"
@@ -556,7 +556,7 @@ let netsim_fanout_routing () =
   let g = G.add_edge ~delta:0.7 ~src:x ~dst:e g in
   let g = G.add_edge ~delta:0.3 ~src:y ~dst:e g in
   let traffic = T.make ~rate:(5. *. U.gbps) ~packet_size:1500. in
-  let m = S.Netsim.run_single g ~hw ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single g ~hw ~traffic) in
   let stats_for label =
     List.find (fun (v : S.Netsim.vertex_stats) -> v.vlabel = label) m.vertex_stats
   in
@@ -573,7 +573,7 @@ let netsim_mix_classes () =
         (T.make ~rate:(4. *. U.gbps) ~packet_size:1500., 1.);
       ]
   in
-  let m = S.Netsim.run g ~hw ~mix in
+  let m = S.Netsim.execute (S.Netsim.Run.make g ~hw ~mix) in
   Alcotest.(check int) "two classes measured" 2
     (List.length m.summary.S.Telemetry.per_class);
   (* 64B class has ~5x the packet rate of the 1500B class:
@@ -592,9 +592,9 @@ let netsim_utilization_matches_model () =
     (fun load ->
       let traffic = T.make ~rate:(load *. 4. *. U.gbps) ~packet_size:1500. in
       let m =
-        S.Netsim.run_single
+        S.Netsim.execute (S.Netsim.Run.single
           ~config:S.Netsim.Config.(default |> with_horizon 0.2)
-          g ~hw ~traffic
+          g ~hw ~traffic)
       in
       let ip_stats =
         List.find (fun (v : S.Netsim.vertex_stats) -> v.vlabel = "ip") m.vertex_stats
@@ -618,9 +618,9 @@ let netsim_medium_sheds_load () =
   let g = pipeline ~ip_rate:(20. *. U.gbps) () in
   let traffic = T.make ~rate:(5. *. U.gbps) ~packet_size:1500. in
   let m =
-    S.Netsim.run_single
+    S.Netsim.execute (S.Netsim.Run.single
       ~config:S.Netsim.Config.(default |> with_horizon ~warmup:0.05 0.2)
-      g ~hw:tight_hw ~traffic
+      g ~hw:tight_hw ~traffic)
   in
   (* two alpha=1 edges share the 1G interface. The analytic ceiling is
      0.5G; the simulator delivers ~0.25G because packets dropped at the
@@ -641,9 +641,8 @@ let netsim_replicated () =
   let g = pipeline () in
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
   let r =
-    S.Netsim.run_replicated
-      ~config:S.Netsim.Config.(default |> with_horizon 0.05)
-      ~runs:4 g ~hw ~mix:[ (traffic, 1.) ]
+    S.Netsim.execute_replicated ~runs:4 (S.Netsim.Run.make
+      ~config:S.Netsim.Config.(default |> with_horizon 0.05) g ~hw ~mix:[ (traffic, 1.) ])
   in
   Alcotest.(check int) "runs" 4 r.S.Netsim.runs;
   check_within ~pct:3. "mean throughput near offered" (2. *. U.gbps)
@@ -654,7 +653,7 @@ let netsim_replicated () =
     && r.S.Netsim.latency_stddev < 0.2 *. r.S.Netsim.latency_mean);
   check_raises_invalid "needs >= 2 runs" (fun () ->
       ignore
-        (S.Netsim.run_replicated ~runs:1 g ~hw ~mix:[ (traffic, 1.) ]))
+        (S.Netsim.execute_replicated ~runs:1 (S.Netsim.Run.make g ~hw ~mix:[ (traffic, 1.) ])))
 
 let netsim_overload_observability () =
   (* Acceptance regression: under heavy overload every entity's
@@ -662,7 +661,7 @@ let netsim_overload_observability () =
      windowed drops), and the drop breakdown accounts for every drop. *)
   let g = pipeline ~queue:4 () in
   let traffic = T.make ~rate:(20. *. U.gbps) ~packet_size:1500. in
-  let m = S.Netsim.run_single g ~hw ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single g ~hw ~traffic) in
   let s = m.summary in
   Alcotest.(check bool) "overloaded" true (s.S.Telemetry.loss_rate > 0.5);
   Alcotest.(check bool) "loss rate <= 1" true (s.S.Telemetry.loss_rate <= 1.);
@@ -700,7 +699,7 @@ let netsim_latency_decomposition () =
     (fun load ->
       let g = pipeline () in
       let traffic = T.make ~rate:(load *. 4. *. U.gbps) ~packet_size:1500. in
-      let m = S.Netsim.run_single g ~hw ~traffic in
+      let m = S.Netsim.execute (S.Netsim.Run.single g ~hw ~traffic) in
       let s = m.summary in
       let terms = s.S.Telemetry.latency_terms in
       check_close ~tol:1e-9
@@ -719,14 +718,14 @@ let netsim_sampling () =
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
   let dt = 1e-3 in
   let config = S.Netsim.Config.(default |> with_sampling dt) in
-  let m = S.Netsim.run_single ~config g ~hw ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single ~config g ~hw ~traffic) in
   Alcotest.(check bool) "series present" true (List.length m.series > 0);
   (* per node: depth + busy; per medium: backlog *)
   Alcotest.(check int) "one series per probe"
     ((2 * List.length m.vertex_stats) + List.length m.medium_stats)
     (List.length m.series);
   let expected_samples =
-    int_of_float (S.Netsim.default_config.duration /. dt)
+    int_of_float (S.Netsim.Config.default.duration /. dt)
   in
   List.iter
     (fun series ->
@@ -744,7 +743,7 @@ let netsim_sampling () =
         samples)
     m.series;
   (* sampling is read-only: results identical with and without *)
-  let plain = S.Netsim.run_single g ~hw ~traffic in
+  let plain = S.Netsim.execute (S.Netsim.Run.single g ~hw ~traffic) in
   check_close "sampling does not perturb the simulation"
     plain.summary.S.Telemetry.mean_latency m.summary.S.Telemetry.mean_latency;
   (* measurement JSON parses back *)
@@ -758,9 +757,8 @@ let netsim_replicated_entities () =
   let g = pipeline () in
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
   let r =
-    S.Netsim.run_replicated
-      ~config:S.Netsim.Config.(default |> with_horizon 0.05)
-      ~runs:3 g ~hw ~mix:[ (traffic, 1.) ]
+    S.Netsim.execute_replicated ~runs:3 (S.Netsim.Run.make
+      ~config:S.Netsim.Config.(default |> with_horizon 0.05) g ~hw ~mix:[ (traffic, 1.) ])
   in
   Alcotest.(check bool) "per-entity stats present" true
     (List.length r.S.Netsim.entities >= 5);
@@ -776,7 +774,34 @@ let netsim_rejects_invalid_graph () =
   let g = G.empty in
   let g, _ = G.add_vertex ~kind:G.Ip ~label:"x" ~service:G.default_service g in
   check_raises_invalid "invalid graph" (fun () ->
-      S.Netsim.run_single g ~hw ~traffic:(T.make ~rate:1e9 ~packet_size:1500.))
+      S.Netsim.execute (S.Netsim.Run.single g ~hw ~traffic:(T.make ~rate:1e9 ~packet_size:1500.)))
+
+(* A run config the simulator cannot honour is rejected at [execute]
+   entry, before any setup, with an Invalid_argument naming the field. *)
+let rejected_configs =
+  let open S.Netsim.Config in
+  [
+    ("duration 0", "duration", with_horizon 0. default);
+    ("duration -1", "duration", with_horizon (-1.) default);
+    ("duration nan", "duration", with_duration nan default);
+    ("duration inf", "duration", with_duration infinity default);
+    ("warmup -0.01", "warmup", with_warmup (-0.01) default);
+    ("warmup = duration", "warmup", with_horizon ~warmup:0.1 0.1 default);
+    ("warmup nan", "warmup", with_warmup nan default);
+    ("sample interval 0", "sample_interval", with_sampling 0. default);
+    ("sample interval -1e-3", "sample_interval", with_sampling (-1e-3) default);
+    ("sample interval nan", "sample_interval", with_sampling nan default);
+    ("sample interval inf", "sample_interval", with_sampling infinity default);
+  ]
+
+let netsim_rejects_config (name, field, config) =
+  quick ("netsim: rejects " ^ name) (fun () ->
+      let traffic = T.make ~rate:1e9 ~packet_size:1500. in
+      match S.Netsim.execute (S.Netsim.Run.single ~config (pipeline ()) ~hw ~traffic) with
+      | _ -> Alcotest.failf "%s was accepted" name
+      | exception Invalid_argument m ->
+        if not (String.starts_with ~prefix:("Netsim.execute: " ^ field ^ " ") m) then
+          Alcotest.failf "%s: message %S does not name %s" name m field)
 
 let properties =
   [
@@ -805,10 +830,10 @@ let properties =
         let rate = load *. 4. *. U.gbps in
         let traffic = T.make ~rate ~packet_size:1500. in
         let m =
-          S.Netsim.run_single
+          S.Netsim.execute (S.Netsim.Run.single
             ~config:
               S.Netsim.Config.(default |> with_horizon 0.02 |> with_seed seed)
-            g ~hw ~traffic
+            g ~hw ~traffic)
         in
         m.summary.S.Telemetry.throughput <= rate *. 1.1);
   ]
@@ -858,5 +883,6 @@ let suite =
     quick "netsim: replicated per-entity stats" netsim_replicated_entities;
     quick "netsim: rejects invalid graphs" netsim_rejects_invalid_graph;
   ]
+  @ List.map netsim_rejects_config rejected_configs
   @ properties
   @ [ json_roundtrip_prop ]

@@ -106,9 +106,9 @@ let tail_matches_simulator () =
       let traffic = T.make ~rate:(load *. 4. *. U.gbps) ~packet_size:1500. in
       let tail = Lognic.Tail.overall (Lognic.Tail.evaluate g ~hw ~traffic) in
       let m =
-        S.Netsim.run_single
+        S.Netsim.execute (S.Netsim.Run.single
           ~config:S.Netsim.Config.(default |> with_horizon 0.5)
-          g ~hw ~traffic
+          g ~hw ~traffic)
       in
       check_within ~pct:10.
         (Printf.sprintf "p50 at load %g" load)
@@ -185,12 +185,12 @@ let bursty_preserves_mean_rate () =
   let g = chain ~rate:(20. *. U.gbps) () in
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
   let m =
-    S.Netsim.run_single
+    S.Netsim.execute (S.Netsim.Run.single
       ~config:
         S.Netsim.Config.(
           default |> with_horizon 1.0
           |> with_arrival (S.Traffic_gen.Bursty { burstiness = 3.; mean_on = 5e-4 }))
-      g ~hw ~traffic
+      g ~hw ~traffic)
   in
   (* the IP has 10x headroom, so nothing drops and goodput = offered *)
   check_within ~pct:6. "long-run rate preserved" (2. *. U.gbps)
@@ -201,9 +201,9 @@ let bursty_fattens_tails () =
   let g = chain () in
   let traffic = T.make ~rate:(2.4 *. U.gbps) ~packet_size:1500. in
   let run arrival =
-    (S.Netsim.run_single
+    (S.Netsim.execute (S.Netsim.Run.single
        ~config:S.Netsim.Config.(default |> with_horizon ~warmup:0.05 0.4 |> with_arrival arrival)
-       g ~hw ~traffic)
+       g ~hw ~traffic))
       .summary
   in
   let poisson = run S.Traffic_gen.Poisson in
@@ -218,12 +218,12 @@ let bursty_validation () =
   let g = chain () in
   let traffic = T.make ~rate:1e9 ~packet_size:1500. in
   check_raises_invalid "burstiness <= 1" (fun () ->
-      S.Netsim.run_single
+      S.Netsim.execute (S.Netsim.Run.single
         ~config:
           S.Netsim.Config.(
             default
             |> with_arrival (S.Traffic_gen.Bursty { burstiness = 1.; mean_on = 1e-3 }))
-        g ~hw ~traffic)
+        g ~hw ~traffic))
 
 (* Multi-queue WRR Ip_node *)
 

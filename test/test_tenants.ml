@@ -213,7 +213,7 @@ let attribution_sums_to_aggregate () =
       default |> with_horizon ~warmup:2e-4 2e-3 |> with_seed 17
       |> with_tenants tenants)
   in
-  let m = S.Netsim.run_single ~config graph ~hw:D.Liquidio.hardware ~traffic in
+  let m = S.Netsim.execute (S.Netsim.Run.single ~config graph ~hw:D.Liquidio.hardware ~traffic) in
   match m.S.Netsim.tenants with
   | None -> Alcotest.fail "tenanted run reported no tenant stats"
   | Some stats ->

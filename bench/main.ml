@@ -842,9 +842,9 @@ let flowcache_overhead_gate () =
 
    Identity (exit 4): executing through a reused engine
    ([execute_with ~engine] on an engine that has already run) must
-   produce measurement JSON byte-identical to the legacy
-   fresh-everything [run_single] — engine reuse is a performance
-   feature, never a results feature.
+   produce measurement JSON byte-identical to a fresh-everything
+   [execute] — engine reuse is a performance feature, never a results
+   feature.
 
    Allocation ceiling (exit 3): words/event is deterministic, so it
    gates tightly against [words_per_event_ceiling] in

@@ -216,7 +216,10 @@ let install (nic : Nic.t) plan ~rng ~duration =
   let offered = Array.make nbins 0 and delivered = Array.make nbins 0 in
   let dropped = Array.make nbins 0 in
   let bytes = Array.make nbins 0. and latency = Array.make nbins 0. in
-  let bin_of t =
+  (* The birth bin of a flight; takes the flight, not its birth time, so
+     the per-packet call boxes no float. *)
+  let bin_of (fl : Nic.flight) =
+    let t = fl.fs.(Telemetry.slot_born) in
     let lo = ref 0 and hi = ref (nbins - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
@@ -301,14 +304,13 @@ let install (nic : Nic.t) plan ~rng ~duration =
         if ev.stop < duration then Engine.schedule engine ~at:ev.stop (revert ev)
       end)
     plan;
-  let born (fl : Nic.flight) = fl.fs.(Telemetry.slot_born) in
   let hooks =
     {
       Nic.no_hooks with
       arrival =
         Some
           (fun fl ->
-            let b = bin_of (born fl) in
+            let b = bin_of fl in
             offered.(b) <- offered.(b) + 1);
       (* An active drop burst sheds the packet at ingress. The draw comes
          from the dedicated fault rng, and only while a burst is active,
@@ -320,14 +322,15 @@ let install (nic : Nic.t) plan ~rng ~duration =
       deliver =
         Some
           (fun fl ->
-            let b = bin_of (born fl) in
+            let b = bin_of fl in
             delivered.(b) <- delivered.(b) + 1;
             bytes.(b) <- bytes.(b) +. fl.fs.(Telemetry.slot_size);
-            latency.(b) <- latency.(b) +. (Engine.now engine -. born fl));
+            latency.(b) <-
+              latency.(b) +. (Engine.now engine -. fl.fs.(Telemetry.slot_born)));
       drop =
         Some
           (fun fl _ ->
-            let b = bin_of (born fl) in
+            let b = bin_of fl in
             dropped.(b) <- dropped.(b) + 1);
     }
   in

@@ -317,15 +317,15 @@ let no_hooks =
 (** Merges hooks in list order. A point no feature uses stays [None] (one
     compare on the hot path); a point one feature uses is that feature's
     function itself. *)
-(* Each join names its result closure so it keeps the hook's own arity:
-   a merged [fun f g x -> ...] would be applied partially and allocate
-   on every call. *)
 let compose hs =
   let merge get join =
     match List.filter_map get hs with
     | [] -> None
     | f :: rest -> Some (List.fold_left join f rest)
   in
+  (* Each join returns a named closure of the hook's own arity: calling a
+     partial application of a merged [fun f g a b -> ...] with two
+     arguments would allocate on every call. *)
   let seq f g =
     let h fl = f fl; g fl in
     h

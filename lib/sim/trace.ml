@@ -78,7 +78,9 @@ let step t =
   let gap = if gap < 1e15 then int_of_float gap else max_int / 4 in
   t.next <- t.next + 1 + gap
 
-let on_packet t ~packet ~born ~size ~klass =
+(* Reads birth time and size from the flight's slot array, and only for
+   a sampled packet, so the unsampled path boxes no float. *)
+let on_packet t ~packet ~fs ~klass =
   let n = t.seen in
   t.seen <- n + 1;
   let slot =
@@ -100,7 +102,15 @@ let on_packet t ~packet ~born ~size ~klass =
   if slot < 0 then None
   else begin
     let r =
-      { packet; born; size; klass; fate = Pending; rev_spans = []; live = true }
+      {
+        packet;
+        born = fs.(Telemetry.slot_born);
+        size = fs.(Telemetry.slot_size);
+        klass;
+        fate = Pending;
+        rev_spans = [];
+        live = true;
+      }
     in
     (match t.slots.(slot) with Some old -> old.live <- false | None -> ());
     t.slots.(slot) <- Some r;
@@ -318,10 +328,7 @@ let install (nic : Nic.t) config ~rng =
       arrival =
         Some
           (fun fl ->
-            match
-              on_packet t ~packet:fl.fl_id ~born:fl.fs.(Telemetry.slot_born)
-                ~size:fl.fs.(Telemetry.slot_size) ~klass:fl.fl_klass
-            with
+            match on_packet t ~packet:fl.fl_id ~fs:fl.fs ~klass:fl.fl_klass with
             | Some r -> sample fl r
             | None ->
               fl.fl_note <- Nic.Plain;

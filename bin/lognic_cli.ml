@@ -36,6 +36,17 @@ let resolve_mix (doc : Lognic_dsl.Parser.document) rate packet =
 
 let hardware_of doc = Option.value doc.Lognic_dsl.Parser.hardware ~default:default_hardware
 
+(* A latency evaluation of a graph with more ingress->egress paths than
+   the enumeration cap averages over the first ones only: say so on
+   stderr, leaving stdout to the report. Called once an evaluation has
+   accepted (validated) the graph. *)
+let warn_path_cap g =
+  if Lognic.Graph.Compiled.(truncated (compile g)) then
+    Fmt.epr
+      "warning: more than %d ingress->egress paths; latency is averaged over the \
+       first %d, weights renormalized@."
+      Lognic.Graph.path_limit Lognic.Graph.path_limit
+
 (* Common arguments *)
 
 let graph_arg =
@@ -105,6 +116,7 @@ let estimate_cmd =
     let report =
       Lognic.Estimate.run ~queue_model doc.graph ~hw:(hardware_of doc) ~traffic
     in
+    warn_path_cap doc.graph;
     Fmt.pr "%a@." (Lognic.Estimate.pp_report doc.graph) report;
     if tail then begin
       let r =
@@ -715,6 +727,7 @@ let explain_cmd =
             Lognic_sim.Explain.run_mix ~config ~queue_model doc.graph
               ~hw:(hardware_of doc) ~mix)
       in
+      warn_path_cap doc.graph;
       Fmt.pr "%a@." Lognic_sim.Explain.pp_mix report;
       Option.iter
         (fun path ->
@@ -729,6 +742,7 @@ let explain_cmd =
             Lognic_sim.Explain.run ~config ~queue_model doc.graph
               ~hw:(hardware_of doc) ~traffic)
       in
+      warn_path_cap doc.graph;
       Fmt.pr "%a@." Lognic_sim.Explain.pp report;
       Option.iter
         (fun path ->
@@ -1349,6 +1363,7 @@ let optimize_cmd =
       Lognic.Optimizer.optimize ?observer doc.graph ~hw:(hardware_of doc)
         ~traffic ~knobs objective
     in
+    warn_path_cap doc.graph;
     List.iter
       (fun a -> Fmt.pr "%a@." Lognic.Optimizer.pp_assignment a)
       solution.assignment;

@@ -1,7 +1,8 @@
 (* The optimizer as a plain sequential search, kept as the
    differential-testing oracle for Lognic.Optimizer.optimize: every
-   candidate is scored by a context-free [Estimate.run] (no checked
-   structure, no vertex-term memo, no parallel map), hits are counted
+   candidate is scored by a full list-walking evaluation of the assigned
+   graph ([Model_ref.run]: no compiled scratch copy, no reused queueing
+   terms, no parallel map), hits are counted
    on one LRU of canonical keys in request order, and the observer is
    called as each request is made. Props checks the two agree bit for
    bit: assignment, report, stats and the observation stream. *)
@@ -62,7 +63,7 @@ let optimize ?(rng = N.Rng.create ~seed:42) ?queue_model ?observer g ~hw
       | None ->
         let g' = O.apply_assignment g candidate in
         let traffic' = O.apply_traffic traffic candidate in
-        let report = Lognic.Estimate.run ?queue_model g' ~hw ~traffic:traffic' in
+        let report = Model_ref.run ?queue_model g' ~hw ~traffic:traffic' in
         let result = (score objective report, g', report) in
         N.Lru.add memo key result;
         (result, false)

@@ -4,11 +4,11 @@ type report = {
   traffic : Traffic.t;
 }
 
-let run ?queue_model ?structure ?memo g ~hw ~traffic =
-  let structure = Graph.checked ~who:"Estimate" ?structure g in
+let run ?queue_model g ~hw ~traffic =
+  let c = Graph.Compiled.checked ~who:"Estimate" g in
   {
-    throughput = Throughput.evaluate ~structure g ~hw ~traffic;
-    latency = Latency.evaluate ?model:queue_model ~structure ?memo g ~hw ~traffic;
+    throughput = Throughput.evaluate_compiled c ~hw ~traffic;
+    latency = Latency.evaluate_compiled ?model:queue_model c ~hw ~traffic;
     traffic;
   }
 

@@ -10,17 +10,13 @@ type report = {
 
 val run :
   ?queue_model:Latency.queue_model ->
-  ?structure:Graph.structure ->
-  ?memo:Latency.term_memo ->
   Graph.t ->
   hw:Params.hardware ->
   traffic:Traffic.t ->
   report
-(** Raises [Invalid_argument] on an invalid graph. The graph is checked
-    once ({!Graph.checked}) and that check serves both model threads;
-    a caller evaluating many parameter variants of one graph passes the
-    [structure] it checked, and may share a {!Latency.term_memo} among
-    them. Neither changes the report. *)
+(** Raises [Invalid_argument] on an invalid graph. The graph is
+    compiled and checked once ({!Graph.Compiled.checked}) and both
+    model threads evaluate that compiled form. *)
 
 val run_mix :
   ?queue_model:Latency.queue_model ->

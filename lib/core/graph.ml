@@ -116,25 +116,20 @@ let remove_edge ~src ~dst g =
   | Some _ ->
     { g with edgs = List.filter (fun e -> not (e.src = src && e.dst = dst)) g.edgs }
 
-let scale_out_split g id fractions =
-  let outs = out_edges g id in
-  if List.length outs <> List.length fractions then
-    invalid_arg "Graph.scale_out_split: length mismatch";
+(* The fraction checks and arithmetic shared by both [scale_out_split]s:
+   rejects a degenerate vector naming the vertex ([at]), and returns
+   each new δ for the current out-edge δs (same operations, same
+   order). *)
+let split_deltas ~at ~total_delta fractions =
   (* Degenerate fraction vectors would otherwise reach the division by
      [total_fraction] below and poison every out-edge with NaN δ/α/β
      (NaN passes both the [f < 0.] and [total <= 0.] tests). Name the
      vertex in every rejection so the caller can find the offending
      split — the feedback-split iteration feeds computed fractions in
      here, and "zero split" alone does not say where. *)
-  let at () =
-    match List.find_opt (fun v -> v.id = id) g.verts with
-    | Some v -> Printf.sprintf "%S (vertex %d)" v.label id
-    | None -> Printf.sprintf "vertex %d" id
-  in
   if List.exists (fun f -> not (Float.is_finite f)) fractions then
     invalid_arg
-      (Printf.sprintf "Graph.scale_out_split: non-finite fraction at %s"
-         (at ()));
+      (Printf.sprintf "Graph.scale_out_split: non-finite fraction at %s" (at ()));
   if List.exists (fun f -> f < 0.) fractions then
     invalid_arg
       (Printf.sprintf "Graph.scale_out_split: negative fraction at %s" (at ()));
@@ -142,16 +137,29 @@ let scale_out_split g id fractions =
   if total_fraction <= 0. then
     invalid_arg
       (Printf.sprintf "Graph.scale_out_split: all-zero fractions at %s" (at ()));
+  List.map (fun f -> total_delta *. f /. total_fraction) fractions
+
+(* preserve the edge's medium mix: alpha/beta stay proportional to
+   delta *)
+let mix_ratio ~old_delta new_delta = if old_delta > 0. then new_delta /. old_delta else 0.
+
+let scale_out_split g id fractions =
+  let outs = out_edges g id in
+  if List.length outs <> List.length fractions then
+    invalid_arg "Graph.scale_out_split: length mismatch";
+  let at () =
+    match List.find_opt (fun v -> v.id = id) g.verts with
+    | Some v -> Printf.sprintf "%S (vertex %d)" v.label id
+    | None -> Printf.sprintf "vertex %d" id
+  in
   let total_delta = List.fold_left (fun acc e -> acc +. e.delta) 0. outs in
   let assignments =
     List.map2
-      (fun e f ->
-        let new_delta = total_delta *. f /. total_fraction in
-        (* preserve the edge's medium mix: alpha/beta stay proportional
-           to delta *)
-        let ratio = if e.delta > 0. then new_delta /. e.delta else 0. in
+      (fun e new_delta ->
+        let ratio = mix_ratio ~old_delta:e.delta new_delta in
         (e, new_delta, e.alpha *. ratio, e.beta *. ratio))
-      outs fractions
+      outs
+      (split_deltas ~at ~total_delta fractions)
   in
   let update e =
     match
@@ -162,156 +170,332 @@ let scale_out_split g id fractions =
   in
   { g with edgs = List.map update g.edgs }
 
-(* Kahn's algorithm with a FIFO ready queue: sources in vertex order,
-   then each vertex's newly-ready successors in edge order. Ids are
-   dense positions ([add_vertex]), so the in-degrees and successor
-   lists are arrays and the pass is O(V+E). *)
-let topological_order g =
-  let n = vertex_count g in
-  let indeg = Array.make n 0 and succs = Array.make n [] in
-  List.iter
-    (fun e ->
-      indeg.(e.dst) <- indeg.(e.dst) + 1;
-      succs.(e.src) <- e.dst :: succs.(e.src))
-    (List.rev g.edgs);
-  let ready = Queue.create () in
-  List.iter (fun v -> if indeg.(v.id) = 0 then Queue.add v.id ready) g.verts;
-  let order = ref [] and visited = ref 0 in
-  while not (Queue.is_empty ready) do
-    let id = Queue.pop ready in
-    order := id :: !order;
-    incr visited;
-    List.iter
-      (fun dst ->
-        indeg.(dst) <- indeg.(dst) - 1;
-        if indeg.(dst) = 0 then Queue.add dst ready)
-      succs.(id)
-  done;
-  if !visited = n then Some (List.rev !order) else None
-
-let is_dag g = Option.is_some (topological_order g)
+let path_limit = 10_000
 
 exception Path_limit_exceeded of int
 
-(* Shared DFS under both path entry points: collects up to [limit]
-   ingress→egress paths, then either stops quietly or signals the
-   caller, depending on [on_limit]. *)
-let enumerate_paths ~limit ~on_limit g =
-  let exception Stop in
-  let count = ref 0 in
-  let truncated = ref false in
-  let results = ref [] in
-  let rec walk v acc =
-    let vx = vertex g v in
-    if vx.kind = Egress then begin
-      if !count >= limit then begin
-        truncated := true;
-        on_limit ();
-        raise Stop
-      end;
-      incr count;
-      results := List.rev (v :: acc) :: !results
-    end
-    else
-      List.iter (fun e -> walk e.dst (v :: acc)) (out_edges g v)
-  in
-  (try List.iter (fun v -> walk v.id []) (ingress_vertices g)
-   with Stop -> ());
-  (List.rev !results, if !truncated then `Truncated else `Complete)
+module Compiled = struct
+  type routes = {
+    paths : vertex_id array array;
+    via : int array array;
+    on_path : bool array;
+    truncated : bool;
+  }
 
-let paths ?(limit = 10_000) g =
-  fst
-    (enumerate_paths ~limit
-       ~on_limit:(fun () -> raise (Path_limit_exceeded limit))
-       g)
+  type t = {
+    kind : kind array;
+    label : string array;
+    throughput : float array;
+    parallelism : int array;
+    queue_capacity : int array;
+    overhead : float array;
+    accel : float array;
+    partition : float array;
+    src : vertex_id array;
+    dst : vertex_id array;
+    delta : float array;
+    alpha : float array;
+    beta : float array;
+    bandwidth : float option array;
+    out_start : int array;
+    out_edges : int array;
+    in_start : int array;
+    in_edges : int array;
+    inflow : float array;
+    out_total : float array;
+    order : vertex_id array option;
+    routes : routes Lazy.t;
+  }
 
-let paths_capped ?(limit = 10_000) g =
-  enumerate_paths ~limit ~on_limit:(fun () -> ()) g
+  let vertex_count c = Array.length c.kind
+  let edge_count c = Array.length c.src
+  let in_degree c v = c.in_start.(v + 1) - c.in_start.(v)
 
-let reachable_from g seeds =
-  let visited = Hashtbl.create 16 in
-  let rec go id =
-    if not (Hashtbl.mem visited id) then begin
-      Hashtbl.add visited id ();
-      List.iter (fun e -> go e.dst) (out_edges g id)
-    end
-  in
-  List.iter go seeds;
-  visited
+  (* Σδ over the CSR slice [lo, hi) of [edges], left to right from 0 —
+     the fold [List.fold_left] makes over the same edges in insertion
+     order, so every total is bit-identical to the list walk's. *)
+  let sum_delta delta edges lo hi =
+    let acc = ref 0. in
+    for k = lo to hi - 1 do
+      acc := !acc +. delta.(edges.(k))
+    done;
+    !acc
 
-let coreachable_to g seeds =
-  let visited = Hashtbl.create 16 in
-  let rec go id =
-    if not (Hashtbl.mem visited id) then begin
-      Hashtbl.add visited id ();
-      List.iter (fun e -> go e.src) (in_edges g id)
-    end
-  in
-  List.iter go seeds;
-  visited
+  let inflow_of ~kind ~delta ~in_start ~in_edges v =
+    match kind.(v) with
+    | Ingress -> 1.
+    | Egress | Ip -> sum_delta delta in_edges in_start.(v) in_start.(v + 1)
 
-let validate_errors g =
-  let errors = ref [] in
-  let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  let ingresses = ingress_vertices g and egresses = egress_vertices g in
-  if ingresses = [] then err "graph has no ingress vertex";
-  if egresses = [] then err "graph has no egress vertex";
-  let dag = is_dag g in
-  if not dag then err "graph has a cycle";
-  if ingresses <> [] && egresses <> [] && dag then begin
-    let fwd = reachable_from g (List.map (fun v -> v.id) ingresses) in
-    let bwd = coreachable_to g (List.map (fun v -> v.id) egresses) in
-    List.iter
+  (* CSR rows keyed by [key.(e)], each row in edge-insertion order. *)
+  let csr n key =
+    let start = Array.make (n + 1) 0 in
+    Array.iter (fun v -> start.(v + 1) <- start.(v + 1) + 1) key;
+    for v = 1 to n do
+      start.(v) <- start.(v) + start.(v - 1)
+    done;
+    let fill = Array.sub start 0 n and rows = Array.make (Array.length key) 0 in
+    Array.iteri
+      (fun e v ->
+        rows.(fill.(v)) <- e;
+        fill.(v) <- fill.(v) + 1)
+      key;
+    (start, rows)
+
+  (* Kahn's algorithm with a FIFO ready queue: sources in vertex order,
+     then each vertex's newly-ready successors in edge order. The order
+     array doubles as the queue. *)
+  let topological ~out_start ~out_edges ~dst ~in_start n =
+    let indeg = Array.init n (fun v -> in_start.(v + 1) - in_start.(v)) in
+    let order = Array.make n 0 and head = ref 0 and tail = ref 0 in
+    let ready v =
+      order.(!tail) <- v;
+      incr tail
+    in
+    for v = 0 to n - 1 do
+      if indeg.(v) = 0 then ready v
+    done;
+    while !head < !tail do
+      let v = order.(!head) in
+      incr head;
+      for k = out_start.(v) to out_start.(v + 1) - 1 do
+        let w = dst.(out_edges.(k)) in
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then ready w
+      done
+    done;
+    if !tail = n then Some order else None
+
+  (* Depth-first ingress→egress walk: ingresses in vertex order,
+     out-edges in insertion order, stopping at the first egress reached.
+     Keeps the first [limit] paths and flags a further one. *)
+  let enumerate ~limit ~kind ~out_start ~out_edges ~dst =
+    let exception Stop in
+    let on_path = Array.make (Array.length kind) false in
+    let found = ref [] and count = ref 0 and truncated = ref false in
+    let rec walk v hops via =
+      if kind.(v) = Egress then begin
+        if !count >= limit then begin
+          truncated := true;
+          raise Stop
+        end;
+        incr count;
+        let hops = Array.of_list (List.rev (v :: hops)) in
+        Array.iter (fun u -> on_path.(u) <- true) hops;
+        found := (hops, Array.of_list (List.rev via)) :: !found
+      end
+      else
+        for k = out_start.(v) to out_start.(v + 1) - 1 do
+          let e = out_edges.(k) in
+          walk dst.(e) (v :: hops) (e :: via)
+        done
+    in
+    (try Array.iteri (fun v k -> if k = Ingress then walk v [] []) kind
+     with Stop -> ());
+    let found = Array.of_list (List.rev !found) in
+    {
+      paths = Array.map fst found;
+      via = Array.map snd found;
+      on_path;
+      truncated = !truncated;
+    }
+
+  let compile_with ~limit g =
+    let verts : vertex array = Array.of_list g.verts in
+    let edgs : edge array = Array.of_list g.edgs in
+    let n = Array.length verts in
+    let field f = Array.map (fun (v : vertex) -> f v.service) verts in
+    let kind = Array.map (fun (v : vertex) -> v.kind) verts in
+    let src = Array.map (fun (e : edge) -> e.src) edgs in
+    let dst = Array.map (fun (e : edge) -> e.dst) edgs in
+    let delta = Array.map (fun (e : edge) -> e.delta) edgs in
+    let out_start, out_edges = csr n src and in_start, in_edges = csr n dst in
+    {
+      kind;
+      label = Array.map (fun (v : vertex) -> v.label) verts;
+      throughput = field (fun s -> s.throughput);
+      parallelism = field (fun s -> s.parallelism);
+      queue_capacity = field (fun s -> s.queue_capacity);
+      overhead = field (fun s -> s.overhead);
+      accel = field (fun s -> s.accel);
+      partition = field (fun s -> s.partition);
+      src;
+      dst;
+      delta;
+      alpha = Array.map (fun (e : edge) -> e.alpha) edgs;
+      beta = Array.map (fun (e : edge) -> e.beta) edgs;
+      bandwidth = Array.map (fun (e : edge) -> e.bandwidth) edgs;
+      out_start;
+      out_edges;
+      in_start;
+      in_edges;
+      inflow = Array.init n (inflow_of ~kind ~delta ~in_start ~in_edges);
+      out_total =
+        Array.init n (fun v -> sum_delta delta out_edges out_start.(v) out_start.(v + 1));
+      order = topological ~out_start ~out_edges ~dst ~in_start n;
+      routes = lazy (enumerate ~limit ~kind ~out_start ~out_edges ~dst);
+    }
+
+  let compile g = compile_with ~limit:path_limit g
+
+  let errors c =
+    let errors = ref [] in
+    let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
+    let has k = Array.exists (fun k' -> k' = k) c.kind in
+    if not (has Ingress) then err "graph has no ingress vertex";
+    if not (has Egress) then err "graph has no egress vertex";
+    let dag = Option.is_some c.order in
+    if not dag then err "graph has a cycle";
+    if has Ingress && has Egress && dag then begin
+      let n = vertex_count c in
+      let sweep ~from ~start ~rows ~ends =
+        let seen = Array.make n false in
+        let rec go v =
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            for k = start.(v) to start.(v + 1) - 1 do
+              go ends.(rows.(k))
+            done
+          end
+        in
+        Array.iteri (fun v k -> if k = from then go v) c.kind;
+        seen
+      in
+      let fwd =
+        sweep ~from:Ingress ~start:c.out_start ~rows:c.out_edges ~ends:c.dst
+      in
+      let bwd = sweep ~from:Egress ~start:c.in_start ~rows:c.in_edges ~ends:c.src in
+      Array.iteri
+        (fun v k ->
+          if k = Ip then begin
+            if not fwd.(v) then
+              err "vertex %d (%s) unreachable from any ingress" v c.label.(v);
+            if not bwd.(v) then
+              err "vertex %d (%s) cannot reach any egress" v c.label.(v)
+          end)
+        c.kind
+    end;
+    List.rev !errors
+
+  let checked ~who g =
+    let c = compile g in
+    match errors c with
+    | [] -> c
+    | errors -> invalid_arg (who ^ ": invalid graph: " ^ String.concat "; " errors)
+
+  let routes c = Lazy.force c.routes
+  let truncated c = (routes c).truncated
+
+  let reach c =
+    let p_vertex = Array.make (vertex_count c) 0. in
+    let p_edge = Array.make (edge_count c) 0. in
+    let ingresses = Array.fold_left (fun n k -> if k = Ingress then n + 1 else n) 0 c.kind in
+    let share = 1. /. float_of_int ingresses in
+    Array.iteri (fun v k -> if k = Ingress then p_vertex.(v) <- share) c.kind;
+    let order =
+      match c.order with
+      | Some order -> order
+      | None -> invalid_arg "Graph.Compiled.reach: graph has a cycle"
+    in
+    Array.iter
       (fun v ->
-        if v.kind = Ip then begin
-          if not (Hashtbl.mem fwd v.id) then
-            err "vertex %d (%s) unreachable from any ingress" v.id v.label;
-          if not (Hashtbl.mem bwd v.id) then
-            err "vertex %d (%s) cannot reach any egress" v.id v.label
-        end)
-      g.verts
-  end;
-  List.rev !errors
+        let p = p_vertex.(v) and total = c.out_total.(v) in
+        if total > 0. then
+          for k = c.out_start.(v) to c.out_start.(v + 1) - 1 do
+            let e = c.out_edges.(k) in
+            let pe = p *. c.delta.(e) /. total in
+            p_edge.(e) <- pe;
+            p_vertex.(c.dst.(e)) <- p_vertex.(c.dst.(e)) +. pe
+          done)
+      order;
+    (p_vertex, p_edge)
 
-let validate g = match validate_errors g with [] -> Ok () | es -> Error es
+  let copy c =
+    {
+      c with
+      throughput = Array.copy c.throughput;
+      parallelism = Array.copy c.parallelism;
+      queue_capacity = Array.copy c.queue_capacity;
+      overhead = Array.copy c.overhead;
+      accel = Array.copy c.accel;
+      partition = Array.copy c.partition;
+      delta = Array.copy c.delta;
+      alpha = Array.copy c.alpha;
+      beta = Array.copy c.beta;
+      inflow = Array.copy c.inflow;
+      out_total = Array.copy c.out_total;
+    }
 
-type structure = {
-  kinds : kind list;
-  ends : (vertex_id * vertex_id) list;
-  structure_paths : vertex_id list list;
-}
+  let restore c ~from =
+    let blit a b = Array.blit a 0 b 0 (Array.length a) in
+    blit from.throughput c.throughput;
+    blit from.parallelism c.parallelism;
+    blit from.queue_capacity c.queue_capacity;
+    blit from.overhead c.overhead;
+    blit from.accel c.accel;
+    blit from.partition c.partition;
+    blit from.delta c.delta;
+    blit from.alpha c.alpha;
+    blit from.beta c.beta;
+    blit from.inflow c.inflow;
+    blit from.out_total c.out_total
 
-let conforms s g =
-  let rec same_kinds ks vs =
-    match (ks, vs) with
-    | [], [] -> true
-    | k :: ks, v :: vs -> k = v.kind && same_kinds ks vs
-    | _ -> false
-  in
-  let rec same_ends ends es =
-    match (ends, es) with
-    | [], [] -> true
-    | (src, dst) :: ends, e :: es -> src = e.src && dst = e.dst && same_ends ends es
-    | _ -> false
-  in
-  same_kinds s.kinds g.verts && same_ends s.ends g.edgs
+  let service c v : service =
+    {
+      throughput = c.throughput.(v);
+      parallelism = c.parallelism.(v);
+      queue_capacity = c.queue_capacity.(v);
+      overhead = c.overhead.(v);
+      accel = c.accel.(v);
+      partition = c.partition.(v);
+    }
 
-let structure_paths s = s.structure_paths
+  let update_service c v f =
+    let (s : service) = f (service c v) in
+    c.throughput.(v) <- s.throughput;
+    c.parallelism.(v) <- s.parallelism;
+    c.queue_capacity.(v) <- s.queue_capacity;
+    c.overhead.(v) <- s.overhead;
+    c.accel.(v) <- s.accel;
+    c.partition.(v) <- s.partition
 
-let checked ~who ?structure g =
-  match structure with
-  | Some s ->
-    if conforms s g then s
-    else invalid_arg (who ^ ": graph does not match its checked structure")
-  | None -> (
-    match validate_errors g with
-    | [] ->
-      {
-        kinds = List.map (fun v -> v.kind) g.verts;
-        ends = List.map (fun e -> (e.src, e.dst)) g.edgs;
-        structure_paths = fst (paths_capped g);
-      }
-    | errors -> invalid_arg (who ^ ": invalid graph: " ^ String.concat "; " errors))
+  let scale_out_split c v fractions =
+    let lo = c.out_start.(v) and hi = c.out_start.(v + 1) in
+    if hi - lo <> List.length fractions then
+      invalid_arg "Graph.scale_out_split: length mismatch";
+    let at () = Printf.sprintf "%S (vertex %d)" c.label.(v) v in
+    let deltas = split_deltas ~at ~total_delta:c.out_total.(v) fractions in
+    List.iteri
+      (fun k new_delta ->
+        let e = c.out_edges.(lo + k) in
+        let ratio = mix_ratio ~old_delta:c.delta.(e) new_delta in
+        c.delta.(e) <- new_delta;
+        c.alpha.(e) <- c.alpha.(e) *. ratio;
+        c.beta.(e) <- c.beta.(e) *. ratio)
+      deltas;
+    c.out_total.(v) <- sum_delta c.delta c.out_edges lo hi;
+    for k = lo to hi - 1 do
+      let w = c.dst.(c.out_edges.(k)) in
+      c.inflow.(w) <-
+        inflow_of ~kind:c.kind ~delta:c.delta ~in_start:c.in_start ~in_edges:c.in_edges w
+    done
+end
+
+let topological_order g =
+  Option.map Array.to_list (Compiled.compile g).Compiled.order
+
+let is_dag g = Option.is_some (Compiled.compile g).Compiled.order
+
+let paths_capped ?(limit = path_limit) g =
+  let r = Compiled.routes (Compiled.compile_with ~limit g) in
+  ( Array.to_list (Array.map Array.to_list r.paths),
+    if r.truncated then `Truncated else `Complete )
+
+let paths ?(limit = path_limit) g =
+  match paths_capped ~limit g with
+  | paths, `Complete -> paths
+  | _, `Truncated -> raise (Path_limit_exceeded limit)
+
+let validate g = match Compiled.errors (Compiled.compile g) with [] -> Ok () | es -> Error es
 
 let pp_kind ppf = function
   | Ingress -> Fmt.string ppf "ingress"

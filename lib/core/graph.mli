@@ -152,6 +152,10 @@ val topological_order : t -> vertex_id list option
 
 val is_dag : t -> bool
 
+val path_limit : int
+(** 10_000: how many ingress→egress paths {!paths} enumerates before
+    raising, and {!Compiled.routes} keeps before flagging the rest. *)
+
 exception Path_limit_exceeded of int
 (** Raised by {!paths} when a graph has more ingress→egress paths than
     the enumeration limit; carries that limit. *)
@@ -159,8 +163,9 @@ exception Path_limit_exceeded of int
 val paths : ?limit:int -> t -> vertex_id list list
 (** All ingress→egress paths as vertex-id sequences, in a deterministic
     order. Raises {!Path_limit_exceeded} if more than [limit] (default
-    10_000) paths exist — execution graphs are small by construction.
-    Callers that would rather degrade than fail use {!paths_capped}. *)
+    {!path_limit}) paths exist — execution graphs are small by
+    construction. Callers that would rather degrade than fail use
+    {!paths_capped}. *)
 
 val paths_capped :
   ?limit:int -> t -> vertex_id list list * [ `Complete | `Truncated ]
@@ -177,28 +182,107 @@ val validate : t -> (unit, string list) result
     (data-structure traversals, oversized accelerator fetches) into its
     edge's medium-usage parameters. *)
 
-type structure
-(** A graph's shape after it passed {!validate}: its vertex kinds (in id
-    order), its edge endpoints (in insertion order) and its
-    ingress→egress paths ({!paths_capped}). No parameter update —
-    {!set_service}, {!update_service}, {!set_edge_params},
-    {!scale_out_split} — changes a shape, so one check covers every
-    graph derived from the checked one that way. *)
+(** {1 Compiled graph}
 
-val conforms : structure -> t -> bool
-(** [conforms s g] holds when [g] has exactly the vertex kinds and edge
-    endpoints [s] was checked with. O(V+E), no sorting or path walk. *)
+    The dense form every model evaluation and the simulator read: a
+    graph's vertex and edge parameters as arrays, its adjacency as CSR
+    rows, and the totals the Eqs need per vertex. Vertex [v] is index
+    [v] (ids are dense); edge [e] is the [e]-th edge in insertion order,
+    and every CSR row lists its edges in insertion order. That order is
+    what keeps evaluations on the compiled form bit-identical to a walk
+    of the lists: each sum adds the same terms in the same order. *)
 
-val structure_paths : structure -> vertex_id list list
-(** The ingress→egress paths of the shape, capped as {!paths_capped}
-    caps them (the first 10_000 in enumeration order). *)
+module Compiled : sig
+  type graph
 
-val checked : who:string -> ?structure:structure -> t -> structure
-(** The one structural check behind every model evaluation: with
-    [structure], confirm [g] {!conforms} to it; without, {!validate}
-    [g] and keep its shape and paths. Raises [Invalid_argument]
-    prefixed by [who] — with {!validate}'s errors, in order — on an
-    invalid graph or a non-conforming one. *)
+  type routes = private {
+    paths : vertex_id array array;
+        (** ingress→egress paths in {!paths} order, at most
+            {!path_limit} of them *)
+    via : int array array;
+        (** per path, the edge index of each hop ([via.(i).(k)] joins
+            [paths.(i).(k)] to [paths.(i).(k+1)]) *)
+    on_path : bool array;  (** per vertex: on some kept path *)
+    truncated : bool;  (** more paths exist than were kept *)
+  }
+
+  type t = private {
+    kind : kind array;
+    label : string array;
+    throughput : float array;
+    parallelism : int array;
+    queue_capacity : int array;
+    overhead : float array;
+    accel : float array;
+    partition : float array;
+    src : vertex_id array;
+    dst : vertex_id array;
+    delta : float array;
+    alpha : float array;
+    beta : float array;
+    bandwidth : float option array;
+    out_start : int array;
+        (** CSR: the out-edges of [v] are
+            [out_edges.(out_start.(v)) .. out_edges.(out_start.(v+1) - 1)] *)
+    out_edges : int array;
+    in_start : int array;  (** CSR of in-edges, as [out_start] *)
+    in_edges : int array;
+    inflow : float array;
+        (** Σδ over in-edges; 1 for an ingress (all of W enters there) *)
+    out_total : float array;  (** Σδ over out-edges *)
+    order : vertex_id array option;
+        (** {!topological_order}; [None] on a cycle *)
+    routes : routes Lazy.t;  (** see {!routes} *)
+  }
+  (** The arrays belong to the value: read them, and change parameters
+      only through {!update_service}/{!scale_out_split} on a {!copy}. *)
+
+  val compile : graph -> t
+  (** O(V+E), no validation; the paths are enumerated on first
+      {!routes}. *)
+
+  val checked : who:string -> graph -> t
+  (** {!compile} a graph that passes {!validate}; raises
+      [Invalid_argument] prefixed by [who] with {!validate}'s errors,
+      in order, otherwise. *)
+
+  val vertex_count : t -> int
+  val edge_count : t -> int
+  val in_degree : t -> vertex_id -> int
+
+  val routes : t -> routes
+  (** The capped ingress→egress paths, enumerated once per compiled
+      graph and shared by its {!copy}s. Force it before handing copies
+      to other domains: forcing one lazy value from two domains at once
+      is an error. *)
+
+  val truncated : t -> bool
+  (** [(routes c).truncated]: the graph has more than {!path_limit}
+      paths, so a latency evaluation averages over the first ones
+      only. *)
+
+  val reach : t -> float array * float array
+  (** Probability that a packet's walk crosses each vertex and each
+      edge under δ-proportional routing (each ingress entered with
+      equal share), by a pass in topological order. Raises
+      [Invalid_argument] on a cycle. *)
+
+  val copy : t -> t
+  (** Fresh parameter arrays; the shape and the routes are shared. *)
+
+  val restore : t -> from:t -> unit
+  (** Overwrite [c]'s parameters with those of [from], a graph of the
+      same shape (the one [c] was copied from). *)
+
+  val service : t -> vertex_id -> service
+  val update_service : t -> vertex_id -> (service -> service) -> unit
+
+  val scale_out_split : t -> vertex_id -> float list -> unit
+  (** {!Graph.scale_out_split} in place, with its arithmetic and its
+      errors, and the vertex's out-total and its successors' inflows
+      recomputed. *)
+end
+with type graph := t
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable dump (used by the CLI's [validate]). *)

@@ -98,49 +98,55 @@ val edge_transfer_time :
 
 val path_weights : Graph.t -> (Graph.vertex_id list * float) list
 (** All ingress→egress paths with normalized δ-branching weights. On a
-    combinatorial graph this degrades to the first 10_000 paths
-    ({!Graph.paths_capped}), weights renormalized over that subset,
-    rather than raising. *)
-
-type term_memo
-(** A bounded, mutex-guarded memo of {!vertex_terms}, for a caller that
-    evaluates many graphs differing in a few vertices (the optimizer
-    holds one per search). It is keyed on the exact bits of everything
-    {!vertex_terms} reads — the queue model, the vertex's service
-    record, its inflow and in-degree, the traffic's rate and packet
-    size — so a hit returns exactly what a recomputation would. Safe to
-    share across domains. *)
-
-val term_memo : unit -> term_memo
-(** An empty memo (4096 entries, least-recently-used eviction). *)
+    combinatorial graph this degrades to the first {!Graph.path_limit}
+    paths ({!Graph.Compiled.routes}), weights renormalized over that
+    subset, rather than raising. *)
 
 val evaluate :
-  ?model:queue_model ->
-  ?structure:Graph.structure ->
-  ?memo:term_memo ->
-  Graph.t ->
-  hw:Params.hardware ->
-  traffic:Traffic.t ->
-  result
+  ?model:queue_model -> Graph.t -> hw:Params.hardware -> traffic:Traffic.t -> result
 (** Raises [Invalid_argument] if the graph fails {!Graph.validate} or
-    has no ingress→egress path. With [structure], the graph is only
-    checked to conform to it and its paths are reused
-    ({!Graph.checked}); with [memo], per-vertex terms are looked up
-    there first. Neither changes the result. *)
+    has no ingress→egress path. Compiles the graph and runs
+    {!evaluate_compiled}. *)
 
 val evaluate_with :
-  ?structure:Graph.structure ->
   term_of:(Graph.vertex_id -> vertex_terms) ->
   Graph.t ->
   hw:Params.hardware ->
   traffic:Traffic.t ->
   result
 (** {!evaluate} with the per-vertex queueing terms supplied by
-    [term_of] (memoized per vertex, called at most once per id) instead
-    of the single-class Eq 11 derivation; [structure] as in
-    {!evaluate}. [traffic] still scopes the
-    edge-transfer times (packet size) and the carried-rate discount
-    (offered rate). [evaluate] is [evaluate_with] over
+    [term_of] (called once per vertex on a kept path, in id order)
+    instead of the single-class Eq 11 derivation. [traffic] still
+    scopes the edge-transfer times (packet size) and the carried-rate
+    discount (offered rate). [evaluate] is [evaluate_with] over
     {!vertex_terms}. *)
+
+val evaluate_compiled :
+  ?model:queue_model ->
+  Graph.Compiled.t ->
+  hw:Params.hardware ->
+  traffic:Traffic.t ->
+  result
+(** {!evaluate} on a graph already compiled and checked. *)
+
+(** {1 Repeated evaluation}
+
+    For a caller that scores many parameter variants of one compiled
+    graph and needs only the mean and the carried rate. *)
+
+type scratch
+(** Buffers sized to one compiled shape, and each vertex's last
+    queueing term with the exact bits of the inputs it was computed
+    from (service fields, inflow, offered rate and packet size). Not
+    safe to share across domains: hold one per domain. *)
+
+val scratch : model:queue_model -> Graph.Compiled.t -> scratch
+(** Forces the graph's routes. *)
+
+val summary :
+  scratch -> Graph.Compiled.t -> hw:Params.hardware -> traffic:Traffic.t -> float * float
+(** [(mean, carried_rate)] of {!evaluate_compiled} [~model] on a graph
+    of the scratch's shape, bit for bit: a vertex whose inputs did not
+    change since the last call reuses its term. *)
 
 val pp_result : Format.formatter -> result -> unit

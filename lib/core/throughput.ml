@@ -22,52 +22,64 @@ let vertex_inflow g id =
   | Graph.Egress | Graph.Ip ->
     List.fold_left (fun acc (e : Graph.edge) -> acc +. e.delta) 0. (Graph.in_edges g id)
 
-let compute_caps g ~(hw : Params.hardware) =
-  let vertex_caps =
-    List.filter_map
-      (fun (v : Graph.vertex) ->
-        let inflow = vertex_inflow g v.id in
-        if inflow <= 0. || v.service.throughput = infinity then None
-        else
-          let effective =
-            v.service.partition *. v.service.accel *. v.service.throughput
-          in
-          Some (v.id, effective /. inflow))
-      (Graph.vertices g)
-  in
-  let edge_caps =
-    List.filter_map
-      (fun (e : Graph.edge) ->
-        match e.bandwidth with
-        | Some bw when e.delta > 0. -> Some ((e.src, e.dst), bw /. e.delta)
-        | Some _ | None -> None)
-      (Graph.edges g)
-  in
-  let sum_alpha =
-    List.fold_left (fun acc (e : Graph.edge) -> acc +. e.alpha) 0. (Graph.edges g)
-  in
-  let sum_beta =
-    List.fold_left (fun acc (e : Graph.edge) -> acc +. e.beta) 0. (Graph.edges g)
-  in
-  let interface_cap =
-    if sum_alpha > 0. then hw.bw_interface /. sum_alpha else infinity
-  in
-  let memory_cap = if sum_beta > 0. then hw.bw_memory /. sum_beta else infinity in
-  (vertex_caps, edge_caps, interface_cap, memory_cap)
+module C = Graph.Compiled
 
-let evaluate ?structure g ~hw ~(traffic : Traffic.t) =
-  ignore (Graph.checked ~who:"Throughput" ?structure g : Graph.structure);
-  let vertex_caps, edge_caps, interface_cap, memory_cap = compute_caps g ~hw in
-  (* Enumerate every candidate bound in priority order; the fold keeps
-     the first strictly-smaller one, so ties resolve deterministically. *)
+(* Vertices with no incoming flow and infinite-throughput vertices do
+   not bound; every other vertex caps at γ·A·P/Σδ. *)
+let vertex_bounds (c : C.t) v = not (c.inflow.(v) <= 0. || c.throughput.(v) = infinity)
+let vertex_cap (c : C.t) v = c.partition.(v) *. c.accel.(v) *. c.throughput.(v) /. c.inflow.(v)
+
+let edge_bounds (c : C.t) e = Option.is_some c.bandwidth.(e) && c.delta.(e) > 0.
+let edge_cap (c : C.t) e = Option.get c.bandwidth.(e) /. c.delta.(e)
+
+let media_caps (c : C.t) ~(hw : Params.hardware) =
+  let sum_alpha = ref 0. and sum_beta = ref 0. in
+  for e = 0 to C.edge_count c - 1 do
+    sum_alpha := !sum_alpha +. c.alpha.(e);
+    sum_beta := !sum_beta +. c.beta.(e)
+  done;
+  ( (if !sum_alpha > 0. then hw.bw_interface /. !sum_alpha else infinity),
+    if !sum_beta > 0. then hw.bw_memory /. !sum_beta else infinity )
+
+(* [acc] min'd with every vertex ceiling (id order), then every
+   dedicated-edge ceiling (edge order). *)
+let min_caps (c : C.t) acc =
+  let acc = ref acc in
+  for v = 0 to C.vertex_count c - 1 do
+    if vertex_bounds c v then acc := Float.min !acc (vertex_cap c v)
+  done;
+  for e = 0 to C.edge_count c - 1 do
+    if edge_bounds c e then acc := Float.min !acc (edge_cap c e)
+  done;
+  !acc
+
+(* Eq 4 as [evaluate] folds it: every candidate bound in priority order
+   from infinity. *)
+let ceiling c ~hw =
+  let interface_cap, memory_cap = media_caps c ~hw in
+  Float.min (Float.min (min_caps c infinity) interface_cap) memory_cap
+
+let attained c ~hw ~(traffic : Traffic.t) = Float.min (ceiling c ~hw) traffic.rate
+
+let evaluate_compiled (c : C.t) ~hw ~(traffic : Traffic.t) =
+  let caps n bounds cap key =
+    List.filter_map
+      (fun i -> if bounds c i then Some (key i, cap c i) else None)
+      (List.init n Fun.id)
+  in
+  let vertex_caps = caps (C.vertex_count c) vertex_bounds vertex_cap Fun.id in
+  let edge_caps =
+    caps (C.edge_count c) edge_bounds edge_cap (fun e -> (c.src.(e), c.dst.(e)))
+  in
+  let interface_cap, memory_cap = media_caps c ~hw in
+  (* Enumerate every candidate bound in priority order; the first one
+     at the minimum binds, so ties resolve deterministically. *)
   let candidates =
     List.map (fun (id, c) -> (Vertex_bound id, c)) vertex_caps
     @ List.map (fun ((s, d), c) -> (Edge_bound (s, d), c)) edge_caps
     @ [ (Interface_bound, interface_cap); (Memory_bound, memory_cap) ]
   in
-  let capacity =
-    List.fold_left (fun acc (_, c) -> Float.min acc c) infinity candidates
-  in
+  let capacity = ceiling c ~hw in
   let attained = Float.min capacity traffic.rate in
   let bottleneck =
     if capacity <= traffic.rate then
@@ -86,14 +98,13 @@ let evaluate ?structure g ~hw ~(traffic : Traffic.t) =
     memory_cap;
   }
 
+let evaluate g ~hw ~traffic =
+  evaluate_compiled (C.checked ~who:"Throughput" g) ~hw ~traffic
+
 let capacity g ~hw =
-  ignore (Graph.checked ~who:"Throughput" g : Graph.structure);
-  let vertex_caps, edge_caps, interface_cap, memory_cap = compute_caps g ~hw in
-  List.fold_left
-    (fun acc (_, c) -> Float.min acc c)
-    (Float.min interface_cap memory_cap)
-    (List.map (fun (_, c) -> ((), c)) vertex_caps
-    @ List.map (fun (_, c) -> ((), c)) edge_caps)
+  let c = C.checked ~who:"Throughput" g in
+  let interface_cap, memory_cap = media_caps c ~hw in
+  min_caps c (Float.min interface_cap memory_cap)
 
 let pp_bound g ppf = function
   | Vertex_bound id ->

@@ -48,15 +48,18 @@ val vertex_inflow : Graph.t -> Graph.vertex_id -> float
 (** Σδ over incoming edges; by convention 1 for an ingress vertex (all
     of W enters through it). *)
 
-val evaluate :
-  ?structure:Graph.structure ->
-  Graph.t ->
-  hw:Params.hardware ->
-  traffic:Traffic.t ->
-  result
-(** Raises [Invalid_argument] if the graph fails {!Graph.validate}. With
-    [structure] the graph is only checked to {!Graph.conforms} to it
-    (see {!Graph.checked}). *)
+val evaluate : Graph.t -> hw:Params.hardware -> traffic:Traffic.t -> result
+(** Raises [Invalid_argument] if the graph fails {!Graph.validate}.
+    Compiles the graph ({!Graph.Compiled.checked}) but does not
+    enumerate its paths. *)
+
+val evaluate_compiled :
+  Graph.Compiled.t -> hw:Params.hardware -> traffic:Traffic.t -> result
+(** {!evaluate} on a graph already compiled and checked. *)
+
+val attained : Graph.Compiled.t -> hw:Params.hardware -> traffic:Traffic.t -> float
+(** [(evaluate_compiled c ~hw ~traffic).attained], bit for bit, without
+    building the report — the optimizer's per-candidate score input. *)
 
 val capacity : Graph.t -> hw:Params.hardware -> float
 (** Just Eq 4, for optimizer objectives (offered load ignored). *)

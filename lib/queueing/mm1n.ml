@@ -10,26 +10,35 @@ let utilization t = t.lambda /. t.mu
 (* The state distribution is geometric truncated at N. Computing it as an
    explicit normalized vector is O(N), exact at rho = 1, and numerically
    stable for any utilization — capacities here are queue credits, so N is
-   small. *)
+   small. One array: the weights go in, their left-to-right sum is taken
+   in the same pass, and they are divided through in place. *)
 let probabilities t =
-  let normalized raw =
-    let total = Array.fold_left ( +. ) 0. raw in
-    (Array.map (fun p -> p /. total) raw, total)
-  in
   let rho = utilization t in
   let n = t.capacity in
-  let probs, total =
-    normalized (Array.init (n + 1) (fun k -> rho ** float_of_int k))
-  in
-  if Float.is_finite total then probs
-  else
+  let p = Array.make (n + 1) 0. and total = ref 0. in
+  for k = 0 to n do
+    let w = rho ** float_of_int k in
+    p.(k) <- w;
+    total := !total +. w
+  done;
+  if not (Float.is_finite !total) then begin
     (* rho^N overflowed (rho = 2 at N = 1100, rho = 10 at N = 400): the
        forward vector normalizes inf/inf to NaN. Reflect about the full
        state, Pro_k = sigma^(N-k) / sum_j sigma^j with sigma = 1/rho < 1,
        which every overflowing case can use. Finite forward sums keep
        the forward form, so their results do not move by a bit. *)
     let sigma = 1. /. rho in
-    fst (normalized (Array.init (n + 1) (fun k -> sigma ** float_of_int (n - k))))
+    total := 0.;
+    for k = 0 to n do
+      let w = sigma ** float_of_int (n - k) in
+      p.(k) <- w;
+      total := !total +. w
+    done
+  end;
+  for k = 0 to n do
+    p.(k) <- p.(k) /. !total
+  done;
+  p
 
 let state_probabilities = probabilities
 
@@ -38,7 +47,9 @@ let state_probabilities = probabilities
    rebuilt it up to three times per [mean_time_in_system]. *)
 let mean_number_of probs =
   let acc = ref 0. in
-  Array.iteri (fun k p -> acc := !acc +. (float_of_int k *. p)) probs;
+  for k = 0 to Array.length probs - 1 do
+    acc := !acc +. (float_of_int k *. probs.(k))
+  done;
   !acc
 
 let effective_arrival_of t probs =

@@ -23,15 +23,23 @@ let state_probabilities t =
         raw.(j) <- raw.(j) /. 1e250
       done
   done;
-  let total = Array.fold_left ( +. ) 0. raw in
-  Array.map (fun p -> p /. total) raw
+  let total = ref 0. in
+  for k = 0 to t.capacity do
+    total := !total +. raw.(k)
+  done;
+  for k = 0 to t.capacity do
+    raw.(k) <- raw.(k) /. !total
+  done;
+  raw
 
 let blocking_probability t = (state_probabilities t).(t.capacity)
 
 let mean_number_in_system t =
   let probs = state_probabilities t in
   let acc = ref 0. in
-  Array.iteri (fun k p -> acc := !acc +. (float_of_int k *. p)) probs;
+  for k = 0 to t.capacity do
+    acc := !acc +. (float_of_int k *. probs.(k))
+  done;
   !acc
 
 let effective_arrival_rate t = t.lambda *. (1. -. blocking_probability t)

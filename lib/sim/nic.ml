@@ -77,62 +77,30 @@ type t = {
   shed_drop : dropper;  (** the ingress drop site ({!Telemetry.Fault_burst}) *)
 }
 
-(* Probability that a packet's walk crosses each vertex/edge, from the
-   delta-proportional routing; needed to scale per-packet quantities so
-   aggregate loads match the model's W-fractions. *)
-let reach_probabilities g =
-  let p_vertex = Hashtbl.create 16 in
-  let p_edge = Hashtbl.create 16 in
-  let ingresses = G.ingress_vertices g in
-  let ingress_share = 1. /. float_of_int (List.length ingresses) in
-  List.iter (fun (v : G.vertex) -> Hashtbl.replace p_vertex v.id ingress_share) ingresses;
-  let order =
-    match G.topological_order g with
-    | Some o -> o
-    | None -> invalid_arg "Netsim: graph has a cycle"
-  in
-  List.iter
-    (fun id ->
-      let p = Option.value (Hashtbl.find_opt p_vertex id) ~default:0. in
-      let outs = G.out_edges g id in
-      let total = List.fold_left (fun acc (e : G.edge) -> acc +. e.delta) 0. outs in
-      if total > 0. then
-        List.iter
-          (fun (e : G.edge) ->
-            let pe = p *. e.delta /. total in
-            Hashtbl.replace p_edge (e.src, e.dst) pe;
-            let prev = Option.value (Hashtbl.find_opt p_vertex e.dst) ~default:0. in
-            Hashtbl.replace p_vertex e.dst (prev +. pe))
-          outs)
-    order;
-  (p_vertex, p_edge)
-
 (** Splits one rng per node from [rng], in graph order, and interns the
     drop sites in a fixed order (interface, memory, ingress shed, links,
     nodes), which fixes the metrics instrument order. Raises
     [Invalid_argument] if the graph fails validation. *)
 let compile engine ~rng ~telemetry ~scheduler ~track_lanes ~service_dist ~classes
     (hw : Lognic.Params.hardware) g =
-  (match G.validate g with
-  | Ok () -> ()
-  | Error errors ->
-    invalid_arg ("Netsim.execute: invalid graph: " ^ String.concat "; " errors));
-  let p_vertex, p_edge = reach_probabilities g in
-  let prob_vertex id = Option.value (Hashtbl.find_opt p_vertex id) ~default:0. in
-  let prob_edge e = Option.value (Hashtbl.find_opt p_edge e) ~default:0. in
+  let c = G.Compiled.checked ~who:"Netsim.execute" g in
+  (* Probability that a packet's walk crosses each vertex/edge under the
+     delta-proportional routing: it scales per-packet quantities so
+     aggregate loads match the model's W-fractions. *)
+  let p_vertex, p_edge = G.Compiled.reach c in
   let interface = Medium.create engine ~label:"interface" ~bandwidth:hw.bw_interface () in
   let memory = Medium.create engine ~label:"memory" ~bandwidth:hw.bw_memory () in
-  let links = Hashtbl.create 8 in
-  List.iter
-    (fun (e : G.edge) ->
-      match e.bandwidth with
-      | Some bw ->
-        Hashtbl.replace links (e.src, e.dst)
-          (Medium.create engine
-             ~label:(Printf.sprintf "link-%d-%d" e.src e.dst)
-             ~bandwidth:bw ())
-      | None -> ())
-    (G.edges g);
+  let links =
+    Array.mapi
+      (fun e bandwidth ->
+        Option.map
+          (fun bw ->
+            Medium.create engine
+              ~label:(Printf.sprintf "link-%d-%d" c.src.(e) c.dst.(e))
+              ~bandwidth:bw ())
+          bandwidth)
+      c.bandwidth
+  in
   let nodes = Hashtbl.create 16 in
   List.iter
     (fun (v : G.vertex) ->
@@ -163,63 +131,48 @@ let compile engine ~rng ~telemetry ~scheduler ~track_lanes ~service_dist ~classe
   let interface_drop = dropper (Telemetry.Medium_buffer "interface") in
   let memory_drop = dropper (Telemetry.Medium_buffer "memory") in
   let shed_drop = dropper Telemetry.Fault_burst in
-  let edge_list = G.edges g in
-  let edge_index = Hashtbl.create 16 in
-  List.iteri
-    (fun i (e : G.edge) -> Hashtbl.replace edge_index (e.src, e.dst) i)
-    edge_list;
   let edges =
-    Array.of_list
-      (List.map
-         (fun (e : G.edge) ->
-           let link = Hashtbl.find_opt links (e.src, e.dst) in
-           {
-             e_dst = e.dst;
-             e_delta = e.delta;
-             e_alpha = e.alpha;
-             e_beta = e.beta;
-             e_pe = prob_edge (e.src, e.dst);
-             e_link = link;
-             e_link_drop =
-               (match link with
-               | Some l -> dropper (Telemetry.Medium_buffer (Medium.label l))
-               | None -> interface_drop);
-           })
-         edge_list)
-  in
-  (* Per-vertex processing-work multiplier: size * inflow / p(v). *)
-  let work_factor id =
-    let p = prob_vertex id in
-    if p <= 0. then 0. else Lognic.Throughput.vertex_inflow g id /. p
+    Array.mapi
+      (fun e link ->
+        {
+          e_dst = c.dst.(e);
+          e_delta = c.delta.(e);
+          e_alpha = c.alpha.(e);
+          e_beta = c.beta.(e);
+          e_pe = p_edge.(e);
+          e_link = link;
+          e_link_drop =
+            (match link with
+            | Some l -> dropper (Telemetry.Medium_buffer (Medium.label l))
+            | None -> interface_drop);
+        })
+      links
   in
   let vertices =
-    Array.init (G.vertex_count g) (fun id ->
-        let v = G.vertex g id in
-        let outs = G.out_edges g id in
+    Array.init (G.Compiled.vertex_count c) (fun id ->
         let node = Hashtbl.find_opt nodes id in
         {
-          v_label = v.label;
-          v_is_egress = v.kind = G.Egress;
-          v_work_factor = work_factor id;
-          v_overhead = v.service.overhead;
+          v_label = c.label.(id);
+          v_is_egress = c.kind.(id) = G.Egress;
+          (* processing-work multiplier: size * inflow / p(v) *)
+          v_work_factor =
+            (let p = p_vertex.(id) in
+             if p <= 0. then 0. else c.inflow.(id) /. p);
+          v_overhead = c.overhead.(id);
           v_cap_limit =
-            (let cap = v.service.queue_capacity in
+            (let cap = c.queue_capacity.(id) in
              match (scheduler, node) with
              | Hierarchical { group_weights; _ }, Some _ ->
                float_of_int
-                 ((Array.length group_weights * classes * cap) + v.service.parallelism)
+                 ((Array.length group_weights * classes * cap) + c.parallelism.(id))
              | _ -> float_of_int cap);
           v_node = node;
           v_drop =
             (if node <> None then
-               dropper (Telemetry.Node_queue { node = v.label; queue = 0 })
+               dropper (Telemetry.Node_queue { node = c.label.(id); queue = 0 })
              else interface_drop);
-          v_out =
-            Array.of_list
-              (List.map
-                 (fun (e : G.edge) -> Hashtbl.find edge_index (e.src, e.dst))
-                 outs);
-          v_out_total = List.fold_left (fun acc (e : G.edge) -> acc +. e.delta) 0. outs;
+          v_out = Array.sub c.out_edges c.out_start.(id) (c.out_start.(id + 1) - c.out_start.(id));
+          v_out_total = c.out_total.(id);
         })
   in
   {
@@ -230,11 +183,7 @@ let compile engine ~rng ~telemetry ~scheduler ~track_lanes ~service_dist ~classe
     edges;
     interface;
     memory;
-    media =
-      interface :: memory
-      :: List.filter_map
-           (fun (e : G.edge) -> Hashtbl.find_opt links (e.src, e.dst))
-           edge_list;
+    media = interface :: memory :: List.filter_map Fun.id (Array.to_list links);
     nodes =
       List.filter_map
         (fun (v : G.vertex) -> Option.map (fun n -> (v, n)) (Hashtbl.find_opt nodes v.id))

@@ -157,21 +157,38 @@ let topology_is_fifo_kahn () =
   | Some order -> Alcotest.(check (list int)) "FIFO order" [ i; y; x; e ] order
   | None -> Alcotest.fail "fan-out is a DAG"
 
+(* The compiled form keeps the list graph's paths, and a parameter
+   update on a scratch copy lands exactly where compiling the updated
+   list graph puts it; the base it was copied from is untouched. *)
 let checked_structure () =
   let g, i, x, _, _ = fanout () in
-  let s = G.checked ~who:"test" g in
-  Alcotest.(check (list (list int))) "paths kept" (G.paths g) (G.structure_paths s);
-  (* parameter updates keep the shape *)
+  let module C = G.Compiled in
+  let base = C.checked ~who:"test" g in
+  Alcotest.(check bool) "paths enumerated on demand" false (Lazy.is_val base.routes);
+  let listed (r : C.routes) = Array.to_list (Array.map Array.to_list r.paths) in
+  Alcotest.(check (list (list int))) "paths kept" (G.paths g) (listed (C.routes base));
+  Alcotest.(check bool) "complete" false (C.truncated base);
   let tuned = G.update_service g x (fun sv -> { sv with G.queue_capacity = 3 }) in
   let split = G.scale_out_split tuned i [ 0.1; 0.9 ] in
-  Alcotest.(check bool) "service update conforms" true (G.conforms s tuned);
-  Alcotest.(check bool) "split conforms" true (G.conforms s split);
-  ignore (G.checked ~who:"test" ~structure:s split : G.structure);
-  (* a new edge does not *)
-  let wider = G.remove_edge ~src:x ~dst:3 g in
-  Alcotest.(check bool) "removed edge does not conform" false (G.conforms s wider);
-  check_raises_invalid "non-conforming graph" (fun () ->
-      G.checked ~who:"test" ~structure:s wider);
+  let scratch = C.copy base in
+  C.update_service scratch x (fun sv -> { sv with G.queue_capacity = 3 });
+  C.scale_out_split scratch i [ 0.1; 0.9 ];
+  let expected = C.compile split in
+  let bits a = Array.map Int64.bits_of_float a in
+  let same what (f : C.t -> float array) =
+    Alcotest.(check (array int64)) what (bits (f expected)) (bits (f scratch))
+  in
+  same "delta" (fun c -> c.delta);
+  same "alpha" (fun c -> c.alpha);
+  same "beta" (fun c -> c.beta);
+  same "inflow" (fun c -> c.inflow);
+  same "out totals" (fun c -> c.out_total);
+  Alcotest.(check (array int)) "queue capacity" expected.queue_capacity
+    scratch.queue_capacity;
+  Alcotest.(check int) "base untouched" 64 base.queue_capacity.(x);
+  C.restore scratch ~from:base;
+  Alcotest.(check (array int64)) "restored" (bits base.delta) (bits scratch.delta);
+  Alcotest.(check int) "restored capacity" 64 scratch.queue_capacity.(x);
   (* errors are validate's, in validate's order *)
   let broken = G.add_edge ~src:3 ~dst:i (G.remove_edge ~src:x ~dst:3 g) in
   let errors =
@@ -179,7 +196,7 @@ let checked_structure () =
     | Error errors -> errors
     | Ok () -> Alcotest.fail "broken graph validates"
   in
-  match G.checked ~who:"test" broken with
+  match G.Compiled.checked ~who:"test" broken with
   | _ -> Alcotest.fail "broken graph accepted"
   | exception Invalid_argument msg ->
     Alcotest.(check string) "same errors"

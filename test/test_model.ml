@@ -183,42 +183,41 @@ let throughput_invalid_graph_rejected () =
       Lognic.Throughput.evaluate g ~hw
         ~traffic:(T.make ~rate:1. ~packet_size:64.))
 
-(* A search checks the structure once and shares a vertex-term memo
-   among parameter variants; each variant's report must be the
-   context-free one, bit for bit, and an overloaded deep queue (rho^N
-   past the double range) must stay finite under the finite-queue
-   models. *)
+(* A search compiles the graph once and scores parameter variants on a
+   scratch copy, reusing the queueing terms of vertices whose inputs did
+   not change; each variant's scores must be the context-free report's,
+   bit for bit, and an overloaded deep queue (rho^N past the double
+   range) must stay finite under the finite-queue models. *)
 let estimate_context_bit_identical () =
   let g, _, w, _ = simple_chain () in
-  let structure = G.checked ~who:"test" g in
-  let memo = Lognic.Latency.term_memo () in
+  let module C = G.Compiled in
+  let base = C.checked ~who:"test" g in
   let same what a b =
     Alcotest.(check int64) what (Int64.bits_of_float a) (Int64.bits_of_float b)
   in
   List.iter
-    (fun (queue, rate) ->
-      let g' = G.update_service g w (fun s -> { s with G.queue_capacity = queue }) in
-      let traffic = T.make ~rate ~packet_size:1500. in
+    (fun queue_model ->
+      let scratch = Lognic.Latency.scratch ~model:queue_model base in
+      let ir = C.copy base in
       List.iter
-        (fun queue_model ->
+        (fun (queue, rate) ->
+          C.restore ir ~from:base;
+          C.update_service ir w (fun s -> { s with G.queue_capacity = queue });
+          let g' = G.update_service g w (fun s -> { s with G.queue_capacity = queue }) in
+          let traffic = T.make ~rate ~packet_size:1500. in
           let plain = Lognic.Estimate.run ~queue_model g' ~hw ~traffic in
-          let ctx = Lognic.Estimate.run ~queue_model ~structure ~memo g' ~hw ~traffic in
+          let mean, carried = Lognic.Latency.summary scratch ir ~hw ~traffic in
           let what = Printf.sprintf "N=%d rate=%g" queue rate in
-          same (what ^ " mean") plain.latency.mean ctx.latency.mean;
-          same (what ^ " carried") plain.latency.carried_rate ctx.latency.carried_rate;
-          same (what ^ " attained") plain.throughput.attained ctx.throughput.attained;
+          same (what ^ " mean") plain.latency.mean mean;
+          same (what ^ " carried") plain.latency.carried_rate carried;
+          same (what ^ " attained") plain.throughput.attained
+            (Lognic.Throughput.attained ir ~hw ~traffic);
           if queue_model <> Lognic.Latency.Mm1_model then
-            Alcotest.(check bool) (what ^ " finite") true (Float.is_finite ctx.latency.mean))
-        Lognic.Latency.[ Mm1n_model; Mmcn_model; Mm1_model; No_queueing ])
-    [ (4, 1. *. U.gbps); (32, 1. *. U.gbps); (4, 1. *. U.gbps); (1100, 4. *. U.gbps) ];
-  let other =
-    let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc 1e9) G.empty in
-    let g, e = G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc 1e9) g in
-    G.add_edge ~src:i ~dst:e g
-  in
-  check_raises_invalid "non-conforming graph" (fun () ->
-      Lognic.Estimate.run ~structure other ~hw
-        ~traffic:(T.make ~rate:1e9 ~packet_size:64.))
+            Alcotest.(check bool) (what ^ " finite") true (Float.is_finite mean))
+        [ (4, 1. *. U.gbps); (32, 1. *. U.gbps); (4, 1. *. U.gbps); (1100, 4. *. U.gbps) ])
+    Lognic.Latency.[ Mm1n_model; Mmcn_model; Mm1_model; No_queueing ];
+  let lonely, _ = G.add_vertex ~kind:G.Ip ~label:"lonely" ~service:(svc 1e9) G.empty in
+  check_raises_invalid "invalid graph" (fun () -> C.checked ~who:"test" lonely)
 
 (* Latency (Eqs 5-12) *)
 
@@ -439,6 +438,64 @@ let properties =
         && List.for_all (fun w -> w >= 0.) weights);
   ]
 
+(* The compiled evaluation equals the list-walking reference bit for
+   bit on every example graph (and its declared classes), under every
+   queue model, and on a ladder with more paths than the cap, where
+   both average over the same first paths. *)
+let compiled_matches_reference () =
+  let ladder =
+    let g = ref G.empty in
+    let add kind label =
+      let g', id = G.add_vertex ~kind ~label ~service:(svc ~queue_capacity:8 1e9) !g in
+      g := g';
+      id
+    in
+    let prev = ref (add G.Ingress "in") in
+    for layer = 1 to 14 do
+      let x = add G.Ip (Printf.sprintf "x%d" layer) in
+      let y = add G.Ip (Printf.sprintf "y%d" layer) in
+      let join = add G.Ip (Printf.sprintf "j%d" layer) in
+      g := G.add_edge ~delta:0.7 ~alpha:0.3 ~src:!prev ~dst:x !g;
+      g := G.add_edge ~delta:0.3 ~beta:0.2 ~src:!prev ~dst:y !g;
+      g := G.add_edge ~delta:0.7 ~src:x ~dst:join !g;
+      g := G.add_edge ~delta:0.3 ~src:y ~dst:join !g;
+      prev := join
+    done;
+    let out = add G.Egress "out" in
+    G.add_edge ~src:!prev ~dst:out !g
+  in
+  Alcotest.(check bool) "ladder is truncated" true
+    (G.Compiled.truncated (G.Compiled.compile ladder));
+  let examples =
+    List.map
+      (fun name ->
+        match Lognic_dsl.Parser.parse_file ("../examples/graphs/" ^ name ^ ".lognic") with
+        | Ok doc ->
+          let traffic = Option.get doc.traffic in
+          (name, doc.graph, Option.get doc.hardware, Option.value doc.mix ~default:[ (traffic, 1.) ])
+        | Error e -> Alcotest.fail e)
+      [ "echo_md5"; "nvmeof_target"; "steering" ]
+  in
+  let bytes f = Marshal.to_string (f ()) [ Marshal.No_sharing ] in
+  List.iter
+    (fun (name, g, hw, mix) ->
+      let traffic = fst (List.hd mix) in
+      List.iter
+        (fun queue_model ->
+          let what x = Printf.sprintf "%s %s" name x in
+          Alcotest.(check bool) (what "estimate") true
+            (bytes (fun () -> Lognic.Estimate.run ~queue_model g ~hw ~traffic)
+            = bytes (fun () -> Lognic_check.Model_ref.run ~queue_model g ~hw ~traffic));
+          Alcotest.(check bool) (what "mix") true
+            (bytes (fun () -> Lognic.Estimate.run_mix ~queue_model g ~hw ~mix)
+            = bytes (fun () -> Lognic_check.Model_ref.run_mix ~queue_model g ~hw ~mix)))
+        Lognic.Latency.[ Mm1n_model; Mmcn_model; Mm1_model; No_queueing ])
+    (( "ladder",
+       ladder,
+       hw,
+       [ (T.make ~rate:(1. *. U.gbps) ~packet_size:512., 1.); (T.make ~rate:(0.5 *. U.gbps) ~packet_size:64., 1.) ] )
+    :: examples)
+
 let suite =
   [
     quick "units: conversions" units_conversions;
@@ -473,5 +530,6 @@ let suite =
   @ properties
   @ [
       quick "estimate: search context is bit-identical" estimate_context_bit_identical;
+      quick "estimate: compiled = list-walking reference" compiled_matches_reference;
     ]
 

@@ -14,32 +14,26 @@ type consolidated = {
   memory_utilization : float;
 }
 
-let sum_alpha g =
-  List.fold_left (fun acc (e : Graph.edge) -> acc +. e.alpha) 0. (Graph.edges g)
-
-let sum_beta g =
-  List.fold_left (fun acc (e : Graph.edge) -> acc +. e.beta) 0. (Graph.edges g)
+module C = Graph.Compiled
 
 let consolidate ~(hw : Params.hardware) tenants =
   if tenants = [] then invalid_arg "Extensions.consolidate: no tenants";
   (* Per-tenant demand on the shared media, in bytes/s. *)
-  let media_demand t =
-    ( t.traffic.Traffic.rate *. sum_alpha t.graph,
-      t.traffic.Traffic.rate *. sum_beta t.graph )
+  let demands =
+    List.map
+      (fun t ->
+        let alpha, beta = Throughput.media_sums (C.compile t.graph) in
+        (t.traffic.Traffic.rate *. alpha, t.traffic.Traffic.rate *. beta))
+      tenants
   in
-  let total_intf_demand =
-    List.fold_left (fun acc t -> acc +. fst (media_demand t)) 0. tenants
-  in
-  let total_mem_demand =
-    List.fold_left (fun acc t -> acc +. snd (media_demand t)) 0. tenants
-  in
+  let total_intf_demand = List.fold_left (fun acc (d, _) -> acc +. d) 0. demands in
+  let total_mem_demand = List.fold_left (fun acc (_, d) -> acc +. d) 0. demands in
   let interface_utilization = total_intf_demand /. hw.bw_interface in
   let memory_utilization = total_mem_demand /. hw.bw_memory in
   (* Each tenant sees the shared medium minus the others' demand
      (clamped to a sliver so evaluation stays defined even when
      oversubscribed — the per-tenant cap then reflects starvation). *)
-  let hw_for t =
-    let intf_d, mem_d = media_demand t in
+  let hw_for (intf_d, mem_d) =
     let available total own other_total =
       Float.max (total *. 0.01) (total -. (other_total -. own))
     in
@@ -48,15 +42,15 @@ let consolidate ~(hw : Params.hardware) tenants =
       ~bw_memory:(available hw.bw_memory mem_d total_mem_demand)
   in
   let reports =
-    List.map
-      (fun t ->
-        let hw' = hw_for t in
+    List.map2
+      (fun t demand ->
+        let hw' = hw_for demand in
         {
           tenant = t.name;
           throughput = Throughput.evaluate t.graph ~hw:hw' ~traffic:t.traffic;
           latency = Latency.evaluate t.graph ~hw:hw' ~traffic:t.traffic;
         })
-      tenants
+      tenants demands
   in
   let total_attained =
     List.fold_left (fun acc r -> acc +. r.throughput.Throughput.attained) 0. reports
@@ -118,61 +112,34 @@ type mixed_report = {
   contention : class_contention list option;
 }
 
-(* The pre-joint-evaluation behavior, kept for comparison: every class
-   sees a private copy of the whole device and the aggregate is the
-   weight-averaged per-class result. Structurally optimistic on any
-   contended mix — the simulator interleaves classes into shared
-   queues — which is exactly the delta the joint [mixed_traffic]
-   closes (see MODEL.md). *)
-let mixed_traffic_independent ~hw ~graph_for mix =
-  let classes = Traffic.normalize_weights mix in
-  let evaluated =
-    List.map
-      (fun ((cls : Traffic.t), w) ->
-        let g = graph_for cls in
-        ( cls,
-          w,
-          Throughput.evaluate g ~hw ~traffic:cls,
-          Latency.evaluate g ~hw ~traffic:cls ))
-      classes
-  in
-  let throughput =
-    List.fold_left
-      (fun acc (_, w, (tp : Throughput.result), _) -> acc +. (w *. tp.attained))
-      0. evaluated
-  in
-  let latency =
-    List.fold_left
-      (fun acc (_, w, _, (lat : Latency.result)) -> acc +. (w *. lat.mean))
-      0. evaluated
-  in
-  { classes = evaluated; throughput; latency; contention = None }
-
 (* ---- joint multi-class evaluation ----------------------------------- *)
 
 (* Shared entities are matched across class graphs by identity: vertex
    label, (src label, dst label) for dedicated links, and the two
-   device-wide media. Byte demand per class on an entity is what the
-   class offers through it; each entity's capacity is split across the
-   classes by offered-byte share (weighted multi-class service). *)
+   device-wide media. Labels are numbered once per mix. Byte demand per
+   class on an entity is what the class offers through it; each
+   entity's capacity is split across the classes by offered-byte share
+   (weighted multi-class service). *)
 type entity_key =
-  | K_vertex of string
-  | K_edge of string * string
+  | K_vertex of int
+  | K_edge of int * int
   | K_interface
   | K_memory
 
 type joint_class = {
   jc_cls : Traffic.t;
   jc_weight : float;  (* normalized *)
-  jc_slow : Graph.t;  (* contention slowdown applied, capacities unsplit *)
-  jc_scaled : Graph.t;  (* slowdown + byte-share capacity split *)
-  jc_hw : Params.hardware;  (* media capacities split by byte share *)
+  jc_label : int array;  (* per vertex, its label's number in the mix *)
+  jc_slow : C.t;  (* contention slowdown applied, capacities unsplit *)
   jc_slowdown : float;
   jc_pressure : (string * float) list;
   jc_resource_caps : (string * float) list;
 }
 
-let entity_totals pairs =
+let edge_key label (c : C.t) e = K_edge (label.(c.src.(e)), label.(c.dst.(e)))
+
+(* Offered bytes/s per entity, summed over the classes in mix order. *)
+let entity_totals jcs =
   let totals = Hashtbl.create 32 in
   let add key d =
     if d > 0. then
@@ -180,26 +147,20 @@ let entity_totals pairs =
       Hashtbl.replace totals key (cur +. d)
   in
   List.iter
-    (fun ((cls : Traffic.t), g) ->
-      List.iter
-        (fun (v : Graph.vertex) ->
-          if v.service.throughput < infinity then begin
-            let inflow = Throughput.vertex_inflow g v.id in
-            if inflow > 0. then add (K_vertex v.label) (cls.rate *. inflow)
-          end)
-        (Graph.vertices g);
-      List.iter
-        (fun (e : Graph.edge) ->
-          match e.bandwidth with
-          | Some _ when e.delta > 0. ->
-            add
-              (K_edge ((Graph.vertex g e.src).label, (Graph.vertex g e.dst).label))
-              (cls.rate *. e.delta)
-          | Some _ | None -> ())
-        (Graph.edges g);
-      add K_interface (cls.rate *. sum_alpha g);
-      add K_memory (cls.rate *. sum_beta g))
-    pairs;
+    (fun jc ->
+      let c = jc.jc_slow and rate = jc.jc_cls.Traffic.rate in
+      for v = 0 to C.vertex_count c - 1 do
+        if c.throughput.(v) < infinity && c.inflow.(v) > 0. then
+          add (K_vertex jc.jc_label.(v)) (rate *. c.inflow.(v))
+      done;
+      for e = 0 to C.edge_count c - 1 do
+        if Option.is_some c.bandwidth.(e) && c.delta.(e) > 0. then
+          add (edge_key jc.jc_label c e) (rate *. c.delta.(e))
+      done;
+      let alpha, beta = Throughput.media_sums c in
+      add K_interface (rate *. alpha);
+      add K_memory (rate *. beta))
+    jcs;
   totals
 
 (* A class that places no demand on an entity is not constrained by it
@@ -212,63 +173,86 @@ let share_of totals key own =
     | None -> 1.
     | Some total -> if total <= 0. then 1. else own /. total
 
-let scale_class ~totals ~slowdown ((cls : Traffic.t), g) =
-  let slow_g =
-    if slowdown = 1. then g
-    else
-      List.fold_left
-        (fun acc (v : Graph.vertex) ->
-          if v.service.throughput = infinity then acc
-          else
-            Graph.update_service acc v.id (fun s ->
-                { s with Graph.accel = s.Graph.accel /. slowdown }))
-        g (Graph.vertices g)
+(* The class's slowed graph and the media with every shared capacity
+   split by the class's byte share: vertex partitions, dedicated-link
+   bandwidths, and the interface and memory bandwidths. *)
+let capacity_share ~totals ~(hw : Params.hardware) jc =
+  let rate = jc.jc_cls.Traffic.rate in
+  let scaled = C.copy jc.jc_slow in
+  for v = 0 to C.vertex_count scaled - 1 do
+    if not (scaled.throughput.(v) = infinity || scaled.inflow.(v) <= 0.) then
+      let share = share_of totals (K_vertex jc.jc_label.(v)) (rate *. scaled.inflow.(v)) in
+      if share <> 1. then
+        C.update_service scaled v (fun s -> { s with Graph.partition = s.Graph.partition *. share })
+  done;
+  for e = 0 to C.edge_count scaled - 1 do
+    match scaled.bandwidth.(e) with
+    | Some bw when scaled.delta.(e) > 0. ->
+      let share = share_of totals (edge_key jc.jc_label scaled e) (rate *. scaled.delta.(e)) in
+      if share <> 1. then C.set_bandwidth scaled e (Some (bw *. share))
+    | Some _ | None -> ()
+  done;
+  let alpha, beta = Throughput.media_sums scaled in
+  let sa = share_of totals K_interface (rate *. alpha) in
+  let sb = share_of totals K_memory (rate *. beta) in
+  ( scaled,
+    if sa = 1. && sb = 1. then hw
+    else { hw with bw_interface = hw.bw_interface *. sa; bw_memory = hw.bw_memory *. sb } )
+
+(* (lambda, mu, scv) of the union queue each label's vertex serves,
+   [None] when fewer than two classes load it (single-class limit: the
+   exact Eq 11 evaluation, bit-for-bit). A class loads a label when the
+   first vertex of that label in its graph is finite and has inflow.
+   When every sharing class sees the same service rate the mixture
+   collapses exactly (scv = 1, no correction is applied); otherwise the
+   effective rate is the lambda-weighted harmonic mean and the
+   hyperexponential service variability inflates waiting by the M/G/1
+   factor (1 + scv) / 2. *)
+let union_queues jcs ~labels =
+  let loads =
+    List.map
+      (fun jc ->
+        let c = jc.jc_slow in
+        let first = Array.make labels (-1) in
+        for v = C.vertex_count c - 1 downto 0 do
+          first.(jc.jc_label.(v)) <- v
+        done;
+        Array.map
+          (fun v ->
+            if v >= 0 && c.throughput.(v) < infinity && c.inflow.(v) > 0. then
+              Some (Latency.rates c ~traffic:jc.jc_cls v)
+            else None)
+          first)
+      jcs
   in
-  let scaled =
-    List.fold_left
-      (fun acc (v : Graph.vertex) ->
-        if v.service.throughput = infinity then acc
+  Array.init labels (fun label ->
+      match List.filter_map (fun load -> load.(label)) loads with
+      | [] | [ _ ] -> None
+      | rates ->
+        let lambda = List.fold_left (fun acc (l, _) -> acc +. l) 0. rates in
+        if lambda <= 0. then None
         else
-          let inflow = Throughput.vertex_inflow g v.id in
-          if inflow <= 0. then acc
-          else
-            let share = share_of totals (K_vertex v.label) (cls.rate *. inflow) in
-            if share = 1. then acc
-            else
-              Graph.update_service acc v.id (fun s ->
-                  { s with Graph.partition = s.Graph.partition *. share }))
-      slow_g (Graph.vertices slow_g)
-  in
-  let scaled =
-    List.fold_left
-      (fun acc (e : Graph.edge) ->
-        match e.bandwidth with
-        | Some bw when e.delta > 0. ->
-          let key =
-            K_edge ((Graph.vertex g e.src).label, (Graph.vertex g e.dst).label)
-          in
-          let share = share_of totals key (cls.rate *. e.delta) in
-          if share = 1. then acc
-          else
-            Graph.set_edge_params ~bandwidth:(Some (bw *. share)) ~src:e.src
-              ~dst:e.dst acc
-        | Some _ | None -> acc)
-      scaled (Graph.edges scaled)
-  in
-  (slow_g, scaled)
+          let mu0 = snd (List.hd rates) in
+          let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+          if List.for_all (fun (_, m) -> same_bits m mu0) rates then Some (lambda, mu0, 1.)
+          else begin
+            let m1 =
+              List.fold_left (fun acc (l, m) -> acc +. (l /. lambda /. m)) 0. rates
+            in
+            let m2 =
+              List.fold_left
+                (fun acc (l, m) -> acc +. (l /. lambda *. 2. /. (m *. m)))
+                0. rates
+            in
+            let scv = Float.max 0. ((m2 -. (m1 *. m1)) /. (m1 *. m1)) in
+            Some (lambda, 1. /. m1, scv)
+          end)
 
-let hw_for ~totals ~(hw : Params.hardware) ((cls : Traffic.t), g) =
-  let sa = share_of totals K_interface (cls.rate *. sum_alpha g) in
-  let sb = share_of totals K_memory (cls.rate *. sum_beta g) in
-  if sa = 1. && sb = 1. then hw
-  else
-    {
-      hw with
-      Params.bw_interface = hw.bw_interface *. sa;
-      bw_memory = hw.bw_memory *. sb;
-    }
-
-let build_joint ?contention:(spec : contention option) ~(hw : Params.hardware)
+(* The per-class view of a mix: each distinct class graph compiled and
+   checked once (with [who] naming the evaluation in the error), its
+   labels numbered, the contention slowdown applied on a copy, and the
+   union queue of every label. *)
+let build_joint ?contention:(spec : contention option) ~who ~(hw : Params.hardware)
     ~graph_for mix =
   let classes = Traffic.normalize_weights mix in
   let pairs =
@@ -279,9 +263,6 @@ let build_joint ?contention:(spec : contention option) ~(hw : Params.hardware)
   | Some s when List.length s.demands <> n ->
     invalid_arg "Extensions.mixed_traffic: one demand vector per class required"
   | Some _ | None -> ());
-  let totals =
-    entity_totals (List.map (fun (cls, _, g) -> (cls, g)) pairs)
-  in
   (* pressure_jr = class j's offered bytes through resource r over the
      resource capacity; slowdown_i = 1 + sum_{j<>i} M_ij . pressure_j *)
   let capacity_of name =
@@ -353,81 +334,83 @@ let build_joint ?contention:(spec : contention option) ~(hw : Params.hardware)
                demands)
            pairs s.demands)
   in
-  List.mapi
-    (fun i (cls, w, g) ->
-      let slow_g, scaled_g =
-        scale_class ~totals ~slowdown:slowdowns.(i) (cls, g)
-      in
-      {
-        jc_cls = cls;
-        jc_weight = w;
-        jc_slow = slow_g;
-        jc_scaled = scaled_g;
-        jc_hw = hw_for ~totals ~hw (cls, g);
-        jc_slowdown = slowdowns.(i);
-        jc_pressure = pressures.(i);
-        jc_resource_caps = resource_caps.(i);
-      })
-    pairs
-
-(* (lambda, mu, scv) of the union queue a vertex serves, [None] when the
-   class has the entity to itself (single-class limit: fall back to the
-   exact Eq 11 evaluation, bit-for-bit). When every sharing class sees
-   the same service rate the mixture collapses exactly (scv = 1, no
-   correction is applied); otherwise the effective rate is the
-   lambda-weighted harmonic mean and the hyperexponential service
-   variability inflates waiting by the M/G/1 factor (1 + scv) / 2. *)
-let joint_rates jcs (jc : joint_class) id =
-  let v = Graph.vertex jc.jc_slow id in
-  if
-    v.service.throughput = infinity
-    || Throughput.vertex_inflow jc.jc_slow id <= 0.
-  then None
-  else
-    let rates =
-      List.filter_map
-        (fun other ->
-          match Graph.find_vertex other.jc_slow ~label:v.label with
-          | Some ov
-            when ov.service.throughput < infinity
-                 && Throughput.vertex_inflow other.jc_slow ov.id > 0. ->
-            Some (Latency.vertex_rates other.jc_slow ~traffic:other.jc_cls ov.id)
-          | Some _ | None -> None)
-        jcs
-    in
-    match rates with
-    | [] | [ _ ] -> None
-    | rates ->
-      let lambda = List.fold_left (fun acc (l, _) -> acc +. l) 0. rates in
-      if lambda <= 0. then None
-      else
-        let mu0 = snd (List.hd rates) in
-        let same_bits a b =
-          Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  let numbers = Hashtbl.create 16 in
+  let number label =
+    match Hashtbl.find_opt numbers label with
+    | Some l -> l
+    | None ->
+      let l = Hashtbl.length numbers in
+      Hashtbl.add numbers label l;
+      l
+  in
+  let compiled = ref [] in
+  let compile g =
+    match List.assq_opt g !compiled with
+    | Some cl -> cl
+    | None ->
+      let c = C.checked ~who g in
+      let cl = (c, Array.map number c.label) in
+      compiled := (g, cl) :: !compiled;
+      cl
+  in
+  let jcs =
+    List.mapi
+      (fun i (cls, w, g) ->
+        let c, label = compile g in
+        let slowdown = slowdowns.(i) in
+        let slow =
+          if slowdown = 1. then c
+          else begin
+            let slow = C.copy c in
+            for v = 0 to C.vertex_count slow - 1 do
+              if not (slow.throughput.(v) = infinity) then
+                C.update_service slow v (fun s ->
+                    { s with Graph.accel = s.Graph.accel /. slowdown })
+            done;
+            slow
+          end
         in
-        if List.for_all (fun (_, m) -> same_bits m mu0) rates then
-          Some (lambda, mu0, 1.)
-        else begin
-          let m1 =
-            List.fold_left (fun acc (l, m) -> acc +. (l /. lambda /. m)) 0. rates
-          in
-          let m2 =
-            List.fold_left
-              (fun acc (l, m) -> acc +. (l /. lambda *. 2. /. (m *. m)))
-              0. rates
-          in
-          let scv = Float.max 0. ((m2 -. (m1 *. m1)) /. (m1 *. m1)) in
-          Some (lambda, 1. /. m1, scv)
-        end
+        {
+          jc_cls = cls;
+          jc_weight = w;
+          jc_label = label;
+          jc_slow = slow;
+          jc_slowdown = slowdown;
+          jc_pressure = pressures.(i);
+          jc_resource_caps = resource_caps.(i);
+        })
+      pairs
+  in
+  (jcs, union_queues jcs ~labels:(Hashtbl.length numbers))
 
-let joint_term_of ?model jcs (jc : joint_class) id =
-  match joint_rates jcs jc id with
-  | None -> Latency.vertex_terms ?model jc.jc_slow ~traffic:jc.jc_cls id
+(* Class [jc]'s term at vertex [v]: the single-class Eq 11 term, or the
+   union queue's term solved once per label and queue shape (capacity,
+   parallelism) in [solved] and shared by every class with that shape,
+   carrying the class's own vertex id and service time. *)
+let joint_term ~model ~union ~solved jc v =
+  let c = jc.jc_slow in
+  let union =
+    if c.throughput.(v) = infinity || c.inflow.(v) <= 0. then None
+    else union.(jc.jc_label.(v))
+  in
+  match union with
+  | None -> Latency.terms ~model c ~traffic:jc.jc_cls v
   | Some (lambda, mu, scv) ->
-    let service = Latency.vertex_service_time jc.jc_slow ~traffic:jc.jc_cls id in
-    let t = Latency.terms_of_rates ?model jc.jc_slow id ~service ~lambda ~mu in
-    if scv = 1. then t
-    else { t with Latency.queueing = t.Latency.queueing *. ((1. +. scv) /. 2.) }
+    let l = jc.jc_label.(v) and s = C.service c v in
+    let shape = (s.queue_capacity, s.parallelism) in
+    let shared =
+      match List.assoc_opt shape solved.(l) with
+      | Some t -> t
+      | None ->
+        let t = Latency.queue_terms ~model s v ~service:0. ~lambda ~mu in
+        let t =
+          if scv = 1. then t
+          else { t with Latency.queueing = t.Latency.queueing *. ((1. +. scv) /. 2.) }
+        in
+        solved.(l) <- (shape, t) :: solved.(l);
+        t
+    in
+    { shared with vid = v; service = Latency.service_time c ~traffic:jc.jc_cls v }
 
 let apply_resource_caps caps (cls : Traffic.t) (tp : Throughput.result) =
   List.fold_left
@@ -444,16 +427,19 @@ let apply_resource_caps caps (cls : Traffic.t) (tp : Throughput.result) =
       else tp)
     tp caps
 
-let mixed_traffic ?queue_model ?contention ~hw ~graph_for mix =
-  let jcs = build_joint ?contention ~hw ~graph_for mix in
+let mixed_traffic ?(queue_model = Latency.Mm1n_model) ?contention ~hw ~graph_for mix =
+  let jcs, union = build_joint ?contention ~who:"Throughput" ~hw ~graph_for mix in
+  let totals = entity_totals jcs in
+  let solved = Array.make (Array.length union) [] in
   let evaluated =
     List.map
       (fun jc ->
-        let tp = Throughput.evaluate jc.jc_scaled ~hw:jc.jc_hw ~traffic:jc.jc_cls in
+        let scaled, hw_share = capacity_share ~totals ~hw jc in
+        let tp = Throughput.evaluate_compiled scaled ~hw:hw_share ~traffic:jc.jc_cls in
         let tp = apply_resource_caps jc.jc_resource_caps jc.jc_cls tp in
         let lat =
-          Latency.evaluate_with
-            ~term_of:(joint_term_of ?model:queue_model jcs jc)
+          Latency.evaluate_compiled_with
+            ~term_of:(joint_term ~model:queue_model ~union ~solved jc)
             jc.jc_slow ~hw ~traffic:jc.jc_cls
         in
         (jc.jc_cls, jc.jc_weight, tp, lat))
@@ -486,13 +472,11 @@ let mixed_traffic ?queue_model ?contention ~hw ~graph_for mix =
   { classes = evaluated; throughput; latency; contention }
 
 let mixed_tail ?model ?contention ~hw ~graph_for mix =
-  let jcs = build_joint ?contention ~hw ~graph_for mix in
+  let jcs, union = build_joint ?contention ~who:"Tail" ~hw ~graph_for mix in
   List.map
     (fun jc ->
-      let rates_for id =
-        Option.map (fun (l, m, _) -> (l, m)) (joint_rates jcs jc id)
-      in
-      (jc.jc_cls, Tail.evaluate ?model ~rates_for jc.jc_slow ~hw ~traffic:jc.jc_cls))
+      let rates_for v = Option.map (fun (l, m, _) -> (l, m)) union.(jc.jc_label.(v)) in
+      (jc.jc_cls, Tail.evaluate_compiled ?model ~rates_for jc.jc_slow ~hw ~traffic:jc.jc_cls))
     jcs
 
 let insert_rate_limiter g ~before ~rate ~queue_capacity =

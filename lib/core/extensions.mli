@@ -10,7 +10,9 @@
     {b Extension #2 — diverse traffic profiles.} When the application
     consumes several packet sizes, per-size execution graphs (C, δ and O
     vary with size) are evaluated independently and the outputs combined
-    as the dist_size-weighted averages of Eqs 3 and 8.
+    as the dist_size-weighted averages of Eqs 3 and 8. {!mixed_traffic}
+    evaluates the classes jointly instead, on shared queues and shared
+    capacities.
 
     {b Extension #3 — non-work-conserving IPs.} A rate-limiter vertex —
     an enqueue/dequeue-only IP with a fixed-size queue — is inserted in
@@ -104,9 +106,12 @@ val mixed_traffic :
     arrival streams: λ = Σ λ_j and a packet-size-mixture service rate
     (λ-weighted harmonic mean of the per-class μ_j, with an M/G/1
     (1+SCV)/2 waiting inflation when the μ_j differ), via
-    {!Latency.terms_of_rates}. The aggregate throughput is the {e sum}
-    of per-class attained rates (the weight-averaged number the old
-    behavior reported is recoverable as Σ wᵢ·attainedᵢ).
+    {!Latency.queue_terms}. Each class graph is compiled once; each
+    shared vertex's union queue is solved once per mix and queue shape
+    (capacity, parallelism) and handed to every class that loads it.
+    The aggregate throughput is the {e sum} of per-class attained rates.
+    The paper's private-copy average — every class on its own copy of
+    the device — is Σ wᵢ·{!Estimate.run} over the classes.
 
     A class that is the only user of an entity gets share 1 exactly, so
     a single-class mix is bit-for-bit identical to
@@ -117,19 +122,8 @@ val mixed_traffic :
     resource pressures) and each class's capacity is min'd with its
     share of every named resource ({!Throughput.Resource_bound}).
     Raises [Invalid_argument] on a demand-vector arity mismatch or a
-    resource name absent from [hw.resources]. *)
-
-val mixed_traffic_independent :
-  hw:Params.hardware ->
-  graph_for:(Traffic.t -> Graph.t) ->
-  Traffic.mix ->
-  mixed_report
-(** The pre-joint behavior, kept for comparison and ablation: each
-    class is evaluated on a private copy of the device and the
-    aggregates are weight-averaged per-class results. Structurally
-    optimistic whenever classes actually share hardware — see the
-    "Mixed traffic" section of MODEL.md for the delta. [contention] is
-    always [None]. *)
+    resource name absent from [hw.resources], and, naming
+    [Throughput], on a class graph that fails {!Graph.validate}. *)
 
 val mixed_tail :
   ?model:Latency.queue_model ->
@@ -141,7 +135,8 @@ val mixed_tail :
 (** Per-class tail-latency analysis under the same joint evaluation:
     each class's sojourn moments are computed with the union-queue
     (λ, μ) of every shared vertex threaded through
-    {!Tail.evaluate}'s [rates_for] hook. *)
+    {!Tail.evaluate}'s [rates_for] hook. An invalid class graph is
+    reported naming [Tail]. *)
 
 type fixed_point_result = {
   value : float array;  (** the final (possibly unconverged) iterate *)

@@ -421,6 +421,7 @@ module Compiled = struct
       delta = Array.copy c.delta;
       alpha = Array.copy c.alpha;
       beta = Array.copy c.beta;
+      bandwidth = Array.copy c.bandwidth;
       inflow = Array.copy c.inflow;
       out_total = Array.copy c.out_total;
     }
@@ -436,6 +437,7 @@ module Compiled = struct
     blit from.delta c.delta;
     blit from.alpha c.alpha;
     blit from.beta c.beta;
+    blit from.bandwidth c.bandwidth;
     blit from.inflow c.inflow;
     blit from.out_total c.out_total
 
@@ -457,6 +459,8 @@ module Compiled = struct
     c.overhead.(v) <- s.overhead;
     c.accel.(v) <- s.accel;
     c.partition.(v) <- s.partition
+
+  let set_bandwidth c e bw = c.bandwidth.(e) <- bw
 
   let scale_out_split c v fractions =
     let lo = c.out_start.(v) and hi = c.out_start.(v + 1) in

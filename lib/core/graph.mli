@@ -235,7 +235,8 @@ module Compiled : sig
     routes : routes Lazy.t;  (** see {!routes} *)
   }
   (** The arrays belong to the value: read them, and change parameters
-      only through {!update_service}/{!scale_out_split} on a {!copy}. *)
+      only through {!update_service}/{!set_bandwidth}/{!scale_out_split}
+      on a {!copy}. *)
 
   val compile : graph -> t
   (** O(V+E), no validation; the paths are enumerated on first
@@ -276,6 +277,9 @@ module Compiled : sig
 
   val service : t -> vertex_id -> service
   val update_service : t -> vertex_id -> (service -> service) -> unit
+
+  val set_bandwidth : t -> int -> float option -> unit
+  (** Replace edge [e]'s dedicated-link bandwidth. *)
 
   val scale_out_split : t -> vertex_id -> float list -> unit
   (** {!Graph.scale_out_split} in place, with its arithmetic and its

@@ -31,8 +31,7 @@ module Q = Lognic_queueing
 (* ---- per-vertex terms ------------------------------------------------ *)
 
 (* Every per-vertex quantity is a function of the vertex's service
-   record, its inflow Σδ and its in-degree; the list accessors below
-   and the compiled evaluation both feed them here. *)
+   record, its inflow Σδ and its in-degree. *)
 
 let effective_rate (s : Graph.service) = s.partition *. s.accel *. s.throughput
 
@@ -40,7 +39,7 @@ let effective_rate (s : Graph.service) = s.partition *. s.accel *. s.throughput
    by at least one logical edge. *)
 let effective_indegree in_degree = float_of_int (max 1 in_degree)
 
-let service_time (s : Graph.service) ~inflow ~in_degree ~(traffic : Traffic.t) =
+let eq7_service (s : Graph.service) ~inflow ~in_degree ~(traffic : Traffic.t) =
   if s.throughput = infinity then 0.
   else if inflow <= 0. then 0.
   else
@@ -49,7 +48,7 @@ let service_time (s : Graph.service) ~inflow ~in_degree ~(traffic : Traffic.t) =
     d *. traffic.packet_size *. inflow /. (effective_rate s *. indeg)
 
 (* (lambda, mu) of the vertex's virtual shared queue, per Eq 11. *)
-let rates (s : Graph.service) ~inflow ~in_degree ~(traffic : Traffic.t) =
+let eq11_rates (s : Graph.service) ~inflow ~in_degree ~(traffic : Traffic.t) =
   let d = float_of_int s.parallelism in
   let indeg = effective_indegree in_degree in
   let lambda = traffic.rate *. indeg /. (d *. traffic.packet_size) in
@@ -65,10 +64,10 @@ let mean_number probs =
   !acc
 
 (* The queue-model dispatch given a vertex's (lambda, mu): the shared
-   tail of [vertex_terms] and of the joint multi-class evaluation, which
-   feeds it union arrival rates and mixture service rates instead of the
-   single-class Eq 11 values. One O(N) state vector per query: this
-   sits on the optimizer's inner loop. *)
+   tail of the single-class terms and of the joint multi-class
+   evaluation, which feeds it union arrival rates and mixture service
+   rates instead of the single-class Eq 11 values. One O(N) state
+   vector per query: this sits on the optimizer's inner loop. *)
 let queue_terms ~model (s : Graph.service) id ~service ~lambda ~mu =
   let utilization = lambda /. mu in
   match model with
@@ -110,12 +109,12 @@ let queue_terms ~model (s : Graph.service) id ~service ~lambda ~mu =
       drop_probability = blocking;
     }
 
-let terms ~model ~traffic id (s : Graph.service) ~inflow ~in_degree =
-  let service = service_time s ~inflow ~in_degree ~traffic in
+let single_terms ~model ~traffic id (s : Graph.service) ~inflow ~in_degree =
+  let service = eq7_service s ~inflow ~in_degree ~traffic in
   if s.throughput = infinity || inflow <= 0. then
     { vid = id; queueing = 0.; service; utilization = 0.; drop_probability = 0. }
   else
-    let lambda, mu = rates s ~inflow ~in_degree ~traffic in
+    let lambda, mu = eq11_rates s ~inflow ~in_degree ~traffic in
     queue_terms ~model s id ~service ~lambda ~mu
 
 let transfer_time ~(hw : Params.hardware) ~(traffic : Traffic.t) ~delta ~alpha ~beta
@@ -129,32 +128,21 @@ let transfer_time ~(hw : Params.hardware) ~(traffic : Traffic.t) ~delta ~alpha ~
   in
   interface_time +. memory_time +. link_time
 
-(* ---- on a Graph.t ----------------------------------------------------- *)
-
-let with_vertex g id f =
-  f (Graph.vertex g id).service ~inflow:(Throughput.vertex_inflow g id)
-    ~in_degree:(Graph.in_degree g id)
-
-let vertex_service_time g ~traffic id = with_vertex g id (service_time ~traffic)
-let vertex_rates g ~traffic id = with_vertex g id (rates ~traffic)
-
-let terms_of_rates ?(model = Mm1n_model) g id ~service ~lambda ~mu =
-  queue_terms ~model (Graph.vertex g id).service id ~service ~lambda ~mu
-
-let vertex_terms ?(model = Mm1n_model) g ~traffic id =
-  with_vertex g id (terms ~model ~traffic id)
-
-let vertex_queueing ?model g ~traffic id = (vertex_terms ?model g ~traffic id).queueing
-
-let edge_transfer_time g ~hw ~traffic (e : Graph.edge) =
-  ignore g;
-  transfer_time ~hw ~traffic ~delta:e.delta ~alpha:e.alpha ~beta:e.beta
-    ~bandwidth:e.bandwidth
+let vertex_queueing ?(model = Mm1n_model) g ~traffic id =
+  (single_terms ~model ~traffic id (Graph.vertex g id).service
+     ~inflow:(Throughput.vertex_inflow g id) ~in_degree:(Graph.in_degree g id))
+    .queueing
 
 (* ---- on the compiled graph -------------------------------------------- *)
 
-let compiled_terms ~model (c : C.t) ~traffic v =
-  terms ~model ~traffic v (C.service c v) ~inflow:c.inflow.(v)
+let service_time (c : C.t) ~traffic v =
+  eq7_service (C.service c v) ~inflow:c.inflow.(v) ~in_degree:(C.in_degree c v) ~traffic
+
+let rates (c : C.t) ~traffic v =
+  eq11_rates (C.service c v) ~inflow:c.inflow.(v) ~in_degree:(C.in_degree c v) ~traffic
+
+let terms ~model (c : C.t) ~traffic v =
+  single_terms ~model ~traffic v (C.service c v) ~inflow:c.inflow.(v)
     ~in_degree:(C.in_degree c v)
 
 let transfers (c : C.t) ~hw ~traffic into =
@@ -257,10 +245,7 @@ let evaluate_compiled_with ~term_of (c : C.t) ~hw ~(traffic : Traffic.t) =
   }
 
 let evaluate_compiled ?(model = Mm1n_model) c ~hw ~traffic =
-  evaluate_compiled_with ~term_of:(compiled_terms ~model c ~traffic) c ~hw ~traffic
-
-let evaluate_with ~term_of g ~hw ~traffic =
-  evaluate_compiled_with ~term_of (C.checked ~who:"Latency" g) ~hw ~traffic
+  evaluate_compiled_with ~term_of:(terms ~model c ~traffic) c ~hw ~traffic
 
 let evaluate ?model g ~hw ~traffic =
   evaluate_compiled ?model (C.checked ~who:"Latency" g) ~hw ~traffic
@@ -328,7 +313,7 @@ let refresh_term s (c : C.t) ~(traffic : Traffic.t) v =
   end;
   if not !same then begin
     s.known.(v) <- false;
-    s.terms.(v) <- compiled_terms ~model:s.model c ~traffic v;
+    s.terms.(v) <- terms ~model:s.model c ~traffic v;
     s.known.(v) <- true
   end
 

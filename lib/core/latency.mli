@@ -60,41 +60,9 @@ type result = {
           the model's goodput estimate under finite queues, bytes/s *)
 }
 
-val vertex_service_time :
-  Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> float
-(** C_i/A_i per Eq 7. 0 for infinite-throughput vertices. *)
-
 val vertex_queueing :
   ?model:queue_model -> Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> float
 (** Q_i per Eq 12 (or the selected ablation). *)
-
-val vertex_rates : Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> float * float
-(** (λ, μ) of the vertex's virtual shared queue per Eq 11 — the inputs
-    to the queueing term, exposed for the tail-latency extension. *)
-
-val vertex_terms :
-  ?model:queue_model -> Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> vertex_terms
-(** The full single-class per-vertex evaluation: Eq 11 rates fed to the
-    selected queue model, zero terms for transparent vertices. *)
-
-val terms_of_rates :
-  ?model:queue_model ->
-  Graph.t ->
-  Graph.vertex_id ->
-  service:float ->
-  lambda:float ->
-  mu:float ->
-  vertex_terms
-(** The queue-model dispatch of {!vertex_terms} with caller-supplied
-    (λ, μ) and service time — the hook the joint multi-class evaluation
-    ({!Extensions.mixed_traffic}) uses to feed a vertex the union of
-    class arrival streams and a packet-size-mixture service rate.
-    Queue capacity and parallelism still come from the vertex. *)
-
-val edge_transfer_time :
-  Graph.t -> hw:Params.hardware -> traffic:Traffic.t -> Graph.edge -> float
-(** g_in·α/BW_INTF + g_in·β/BW_MEM (+ g_in·δ/BW_mn on a dedicated
-    link) — Eq 7, first line. *)
 
 val path_weights : Graph.t -> (Graph.vertex_id list * float) list
 (** All ingress→egress paths with normalized δ-branching weights. On a
@@ -108,19 +76,6 @@ val evaluate :
     has no ingress→egress path. Compiles the graph and runs
     {!evaluate_compiled}. *)
 
-val evaluate_with :
-  term_of:(Graph.vertex_id -> vertex_terms) ->
-  Graph.t ->
-  hw:Params.hardware ->
-  traffic:Traffic.t ->
-  result
-(** {!evaluate} with the per-vertex queueing terms supplied by
-    [term_of] (called once per vertex on a kept path, in id order)
-    instead of the single-class Eq 11 derivation. [traffic] still
-    scopes the edge-transfer times (packet size) and the carried-rate
-    discount (offered rate). [evaluate] is [evaluate_with] over
-    {!vertex_terms}. *)
-
 val evaluate_compiled :
   ?model:queue_model ->
   Graph.Compiled.t ->
@@ -128,6 +83,58 @@ val evaluate_compiled :
   traffic:Traffic.t ->
   result
 (** {!evaluate} on a graph already compiled and checked. *)
+
+(** {1 Terms on the compiled graph}
+
+    The pieces {!evaluate_compiled} is built from, for the evaluations
+    that feed it other per-vertex terms (the joint multi-class mix) or
+    read the same inputs (the tail model). *)
+
+val service_time : Graph.Compiled.t -> traffic:Traffic.t -> Graph.vertex_id -> float
+(** C_i/A_i per Eq 7. 0 for infinite-throughput vertices and vertices
+    with no inflow. *)
+
+val rates : Graph.Compiled.t -> traffic:Traffic.t -> Graph.vertex_id -> float * float
+(** (λ, μ) of the vertex's virtual shared queue per Eq 11. *)
+
+val terms :
+  model:queue_model -> Graph.Compiled.t -> traffic:Traffic.t -> Graph.vertex_id -> vertex_terms
+(** The single-class per-vertex evaluation: Eq 11 rates fed to the
+    selected queue model, zero queueing for transparent vertices. *)
+
+val queue_terms :
+  model:queue_model ->
+  Graph.service ->
+  Graph.vertex_id ->
+  service:float ->
+  lambda:float ->
+  mu:float ->
+  vertex_terms
+(** The queue-model dispatch of {!terms} with caller-supplied (λ, μ)
+    and service time, for a vertex with the given service record (only
+    its queue capacity and parallelism are read). *)
+
+val transfers :
+  Graph.Compiled.t -> hw:Params.hardware -> traffic:Traffic.t -> float array -> unit
+(** [transfers c ~hw ~traffic into] writes each edge's data-movement
+    time g_in·α/BW_INTF + g_in·β/BW_MEM (+ g_in·δ/BW_mn on a dedicated
+    link, Eq 7 first line) into [into.(e)]. *)
+
+val weights : Graph.Compiled.t -> Graph.Compiled.routes -> float array -> unit
+(** [weights c (Graph.Compiled.routes c) into] writes each kept path's
+    normalized δ-branching weight (Eq 8) into [into.(i)] — the weights
+    {!path_weights} lists. *)
+
+val evaluate_compiled_with :
+  term_of:(Graph.vertex_id -> vertex_terms) ->
+  Graph.Compiled.t ->
+  hw:Params.hardware ->
+  traffic:Traffic.t ->
+  result
+(** {!evaluate_compiled} with the per-vertex queueing terms supplied by
+    [term_of] (called once per vertex on a kept path, in id order)
+    instead of {!terms}. [traffic] still scopes the edge-transfer times
+    (packet size) and the carried-rate discount (offered rate). *)
 
 (** {1 Repeated evaluation}
 

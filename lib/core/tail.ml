@@ -52,30 +52,24 @@ let mmcn_moments ~lambda ~mu ~servers ~capacity =
     (!m1, Float.max 0. (!m2 -. (!m1 *. !m1)))
   end
 
-let vertex_sojourn_moments ?(model = Latency.Mm1n_model) ?rates_for g ~traffic
-    id =
-  let v = Graph.vertex g id in
-  if v.service.throughput = infinity || Throughput.vertex_inflow g id <= 0. then
-    (0., 0.)
-  else begin
+module C = Graph.Compiled
+
+(* (mean, variance) of an accepted request's sojourn at vertex [v];
+   (0, 0) for transparent vertices. *)
+let sojourn_moments ~model ~rates_for (c : C.t) ~traffic v =
+  if c.throughput.(v) = infinity || c.inflow.(v) <= 0. then (0., 0.)
+  else
     let lambda, mu =
-      match rates_for with
-      | Some f -> (
-        match f id with
-        | Some rates -> rates
-        | None -> Latency.vertex_rates g ~traffic id)
-      | None -> Latency.vertex_rates g ~traffic id
+      match rates_for v with Some r -> r | None -> Latency.rates c ~traffic v
     in
     match model with
     | Latency.Mmcn_model ->
       (* undo Eq 11's per-engine arrival split, as Latency does *)
-      let d = float_of_int v.service.parallelism in
-      let capacity = max v.service.queue_capacity v.service.parallelism in
-      mmcn_moments ~lambda:(lambda *. d) ~mu ~servers:v.service.parallelism
-        ~capacity
+      let servers = c.parallelism.(v) in
+      mmcn_moments ~lambda:(lambda *. float_of_int servers) ~mu ~servers
+        ~capacity:(max c.queue_capacity.(v) servers)
     | Latency.Mm1n_model | Latency.Mm1_model | Latency.No_queueing ->
-      mm1n_moments ~lambda ~mu ~capacity:v.service.queue_capacity
-  end
+      mm1n_moments ~lambda ~mu ~capacity:c.queue_capacity.(v)
 
 (* Per-path decomposition: random gamma part (vertex sojourns) plus a
    deterministic shift (overheads + data movement). *)
@@ -85,24 +79,21 @@ type path_shape = {
   random_mean : float;
 }
 
-let path_shape ?model ?rates_for g ~hw ~traffic path =
-  let rec walk mean var shift = function
-    | a :: (b :: _ as rest) ->
-      let m, v = vertex_sojourn_moments ?model ?rates_for g ~traffic a in
-      let overhead = (Graph.vertex g a).Graph.service.overhead in
-      let transfer =
-        match Graph.edge g ~src:a ~dst:b with
-        | Some e -> Latency.edge_transfer_time g ~hw ~traffic e
-        | None -> 0.
-      in
-      walk (mean +. m) (var +. v) (shift +. overhead +. transfer) rest
-    | [ last ] ->
-      let m, v = vertex_sojourn_moments ?model ?rates_for g ~traffic last in
-      (mean +. m, var +. v, shift)
-    | [] -> (mean, var, shift)
-  in
-  let mean, var, shift = walk 0. 0. 0. path in
-  { shift; gamma = N.Gamma.of_moments ~mean ~variance:var; random_mean = mean }
+(* Path [i]'s sums, hop by hop in path order: every hop adds the
+   vertex's sojourn moments, its overhead and the edge's transfer time;
+   the final vertex adds only its moments. *)
+let path_shape (c : C.t) (r : C.routes) ~means ~variances ~transfer i =
+  let hops = r.paths.(i) and via = r.via.(i) in
+  let mean = ref 0. and var = ref 0. and shift = ref 0. in
+  for k = 0 to Array.length via - 1 do
+    let a = hops.(k) in
+    mean := !mean +. means.(a);
+    var := !var +. variances.(a);
+    shift := !shift +. c.overhead.(a) +. transfer.(via.(k))
+  done;
+  let last = hops.(Array.length hops - 1) in
+  let mean = !mean +. means.(last) and var = !var +. variances.(last) in
+  { shift = !shift; gamma = N.Gamma.of_moments ~mean ~variance:var; random_mean = mean }
 
 let shape_cdf shape x =
   if x < shape.shift then 0.
@@ -153,16 +144,26 @@ let mixture_quantile shapes_weights p =
   done;
   0.5 *. (!lo +. !hi)
 
-let evaluate ?model ?rates_for g ~hw ~traffic =
-  (match Graph.validate g with
-  | Ok () -> ()
-  | Error errors -> invalid_arg ("Tail: invalid graph: " ^ String.concat "; " errors));
-  let weighted_paths = Latency.path_weights g in
-  if weighted_paths = [] then invalid_arg "Tail: no ingress->egress path";
+let evaluate_compiled ?(model = Latency.Mm1n_model) ~rates_for (c : C.t) ~hw ~traffic =
+  let r = C.routes c in
+  if Array.length r.paths = 0 then invalid_arg "Tail: no ingress->egress path";
+  let n = C.vertex_count c in
+  let means = Array.make n 0. and variances = Array.make n 0. in
+  Array.iteri
+    (fun v on ->
+      if on then begin
+        let m, var = sojourn_moments ~model ~rates_for c ~traffic v in
+        means.(v) <- m;
+        variances.(v) <- var
+      end)
+    r.on_path;
+  let transfer = Array.make (C.edge_count c) 0. in
+  Latency.transfers c ~hw ~traffic transfer;
+  let w = Array.make (Array.length r.paths) 0. in
+  Latency.weights c r w;
   let shapes =
-    List.map
-      (fun (p, w) -> (path_shape ?model ?rates_for g ~hw ~traffic p, p, w))
-      weighted_paths
+    List.init (Array.length r.paths) (fun i ->
+        (path_shape c r ~means ~variances ~transfer i, Array.to_list r.paths.(i), w.(i)))
   in
   let tails =
     List.map (fun (s, p, w) -> { tpath = p; tweight = w; tq = quantiles_of_shape s }) shapes
@@ -180,6 +181,9 @@ let evaluate ?model ?rates_for g ~hw ~traffic =
     }
   in
   { overall_q; tails; mixture }
+
+let evaluate ?model ?(rates_for = fun _ -> None) g ~hw ~traffic =
+  evaluate_compiled ?model ~rates_for (C.checked ~who:"Tail" g) ~hw ~traffic
 
 let quantile r p =
   if p <= 0. || p >= 1. then invalid_arg "Tail.quantile: p outside (0, 1)";

@@ -32,14 +32,18 @@ let vertex_cap (c : C.t) v = c.partition.(v) *. c.accel.(v) *. c.throughput.(v) 
 let edge_bounds (c : C.t) e = Option.is_some c.bandwidth.(e) && c.delta.(e) > 0.
 let edge_cap (c : C.t) e = Option.get c.bandwidth.(e) /. c.delta.(e)
 
-let media_caps (c : C.t) ~(hw : Params.hardware) =
+let media_sums (c : C.t) =
   let sum_alpha = ref 0. and sum_beta = ref 0. in
   for e = 0 to C.edge_count c - 1 do
     sum_alpha := !sum_alpha +. c.alpha.(e);
     sum_beta := !sum_beta +. c.beta.(e)
   done;
-  ( (if !sum_alpha > 0. then hw.bw_interface /. !sum_alpha else infinity),
-    if !sum_beta > 0. then hw.bw_memory /. !sum_beta else infinity )
+  (!sum_alpha, !sum_beta)
+
+let media_caps c ~(hw : Params.hardware) =
+  let sum_alpha, sum_beta = media_sums c in
+  ( (if sum_alpha > 0. then hw.bw_interface /. sum_alpha else infinity),
+    if sum_beta > 0. then hw.bw_memory /. sum_beta else infinity )
 
 (* [acc] min'd with every vertex ceiling (id order), then every
    dedicated-edge ceiling (edge order). *)

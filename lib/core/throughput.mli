@@ -48,6 +48,10 @@ val vertex_inflow : Graph.t -> Graph.vertex_id -> float
 (** Σδ over incoming edges; by convention 1 for an ingress vertex (all
     of W enters through it). *)
 
+val media_sums : Graph.Compiled.t -> float * float
+(** (Σα, Σβ) over the edges, summed in edge order: the shared-medium
+    load per byte of ingress traffic behind Eq 2. *)
+
 val evaluate : Graph.t -> hw:Params.hardware -> traffic:Traffic.t -> result
 (** Raises [Invalid_argument] if the graph fails {!Graph.validate}.
     Compiles the graph ({!Graph.Compiled.checked}) but does not

@@ -31,4 +31,7 @@ val multi_start :
   rng:Rng.t -> problem -> solution
 (** [multi_start ~rng problem] seeds [starts] (default 8) random points in
     the box plus the box centre, and returns the best feasible solution
-    found (or the least-infeasible one when none is feasible). *)
+    found (or the least-infeasible one when none is feasible). A seed
+    whose objective is not finite (a saturated queue, say) is scored
+    once and not descended from; when no seed is finite, the
+    best-scored seed is returned (the first among equal scores). *)
